@@ -2,15 +2,12 @@
 // load. Reports (a) the ShareGPT-shaped prompt-length distribution that
 // motivates phase awareness (Sec 2.1), and (b) continuous-batching serving
 // over the same LLM-PQ plan across arrival rates: static batching vs
-// ORCA-style iteration-level scheduling, with the iteration-level decode
-// executed both ways — the historical replay strategy (one prefill-shaped
-// pass over the padded contexts per generated token) and the step-level
-// session strategy over the paged KV cache (one decode-shaped pass per
-// token) — plus fully continuous batching (kContinuous), where arrivals
-// join the running decode batch mid-flight instead of waiting for it to
-// drain. The session-vs-replay throughput ratio is the headline number
-// the KV-reuse work is gated on; continuous-vs-static at the highest
-// arrival rate is the floor CI gates the continuous-batching work on.
+// ORCA-style iteration-level scheduling with step-level session decode
+// over the paged KV cache (one decode-shaped pass per token), plus fully
+// continuous batching (kContinuous), where arrivals join the running
+// decode batch mid-flight instead of waiting for it to drain.
+// Continuous-vs-static at the highest arrival rate is the floor CI gates
+// the continuous-batching work on.
 //
 // Slot 4 is the self-healing row pair: the same plan served while one
 // stage drags under an injected kSlow straggler, once tolerating the drag
@@ -198,9 +195,6 @@ int main(int argc, char** argv) {
     rep.rows.push_back(run_scheme("static", model, pc, planned.plan, ppl,
                                   reqs, SchedulerPolicy::kStaticBatching,
                                   DecodeExec::kSession));
-    rep.rows.push_back(run_scheme("iter-replay", model, pc, planned.plan,
-                                  ppl, reqs, SchedulerPolicy::kIterationLevel,
-                                  DecodeExec::kReplay));
     rep.rows.push_back(run_scheme("iter-session", model, pc, planned.plan,
                                   ppl, reqs, SchedulerPolicy::kIterationLevel,
                                   DecodeExec::kSession));
@@ -262,25 +256,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", t.to_string().c_str());
 
-  double ratio_sum = 0.0;
-  int ratio_n = 0;
-  for (const RateReport& rep : reports) {
-    const ServingRow* replay = nullptr;
-    const ServingRow* session = nullptr;
-    for (const ServingRow& row : rep.rows) {
-      if (row.scheme == "iter-replay") replay = &row;
-      if (row.scheme == "iter-session") session = &row;
-    }
-    if (replay != nullptr && session != nullptr && replay->ok &&
-        session->ok && replay->throughput > 0.0) {
-      ratio_sum += session->throughput / replay->throughput;
-      ++ratio_n;
-    }
-  }
-  if (ratio_n > 0)
-    std::printf("\nsession decode mean throughput speedup vs replay decode "
-                "over %d rates: %.2fx\n",
-                ratio_n, ratio_sum / ratio_n);
   {
     // Continuous-vs-static at the highest arrival rate and replan-vs-
     // tolerate under the straggler: the two ratios CI's floor-ratio gates
@@ -300,7 +275,7 @@ int main(int argc, char** argv) {
     }
     if (stat != nullptr && cont != nullptr && stat->ok && cont->ok &&
         stat->throughput > 0.0)
-      std::printf("continuous vs static throughput at %.1f req/s: %.2fx\n",
+      std::printf("\ncontinuous vs static throughput at %.1f req/s: %.2fx\n",
                   cont_rate, cont->throughput / stat->throughput);
     if (tolerate != nullptr && replan != nullptr && tolerate->ok &&
         replan->ok && tolerate->throughput > 0.0)
@@ -310,11 +285,10 @@ int main(int argc, char** argv) {
                   replan->note.c_str());
   }
   std::printf("\nshape check: iteration-level scheduling cuts mean/P99 "
-              "latency at every load, step-level KV-reuse sessions beat "
-              "replaying the full context every round, and continuous "
-              "batching (mid-flight joins + capacity preemption) holds or "
-              "beats static batching at high load (the ORCA/vLLM "
-              "argument the paper's discussion defers to).\n");
+              "latency at every load, and continuous batching (mid-flight "
+              "joins + capacity preemption) holds or beats static batching "
+              "at high load (the ORCA/vLLM argument the paper's discussion "
+              "defers to).\n");
 
   int rc = 0;
   if (const auto json_path = args.get("json")) {

@@ -7,6 +7,8 @@
 #   build      configure + compile the tier-1 tree
 #   test       tier-1 ctest sweep (ROADMAP.md's check; -LE sanitize keeps
 #              the optional sanitizer ctest out of the plain-build run)
+#   perfbench  build the serving benchmark package against the current
+#              src/ and run its Python unit tests
 #   format     clang-format gate (skips when the tool is absent)
 #   bench      run the JSON-emitting benches and diff the deterministic
 #              table4 rows against bench/baselines/ (±15%); gate the
@@ -61,6 +63,17 @@ stage_test() {
     --timeout 300)
 }
 
+stage_perfbench() {
+  echo "==== perfbench ===="
+  # perfbench/ is its own CMake package that compiles src/ in its own
+  # tree; building it here catches a src/ API change that breaks the
+  # benchmark driver before the benchmark is ever run.
+  # shellcheck disable=SC2086
+  cmake -S perfbench -B "${BUILD_DIR}/perfbench" ${CMAKE_ARGS:-} > /dev/null
+  cmake --build "${BUILD_DIR}/perfbench" -j "${JOBS}" --target perfbench
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
+}
+
 stage_format() {
   echo "==== format ===="
   scripts/check_format.sh
@@ -80,9 +93,9 @@ stage_bench() {
   "${BUILD_DIR}/bench/bench_table8_optimizer_speed" \
     --methods heuristic \
     --json "${BUILD_DIR}/BENCH_table8_optimizer_speed.json" > /dev/null
-  # Continuous-batching serving: the replay-vs-session decode comparison
-  # over the paged KV cache. Sim-backed and deterministic, so every row
-  # (including the session speedup the KV work is gated on) is diffed.
+  # Online serving: static vs iteration-level vs continuous batching per
+  # arrival rate, plus the self-healing straggler pair. Sim-backed and
+  # deterministic, so every row is diffed.
   "${BUILD_DIR}/bench/bench_ext_online_serving" \
     --json "${BUILD_DIR}/BENCH_ext_online_serving.json" > /dev/null
   # Multi-tenant fair-share serving: the virtual-clock simulator leg only
@@ -156,13 +169,17 @@ run_stage() {
   case "$1" in
     build) stage_build ;;
     test) stage_test ;;
+    perfbench) stage_perfbench ;;
     format) stage_format ;;
     bench) stage_bench ;;
     scalar) stage_scalar ;;
     sanitize) stage_sanitize ;;
-    all) stage_build; stage_test; stage_format; stage_bench; stage_scalar; stage_sanitize ;;
+    all)
+      stage_build; stage_test; stage_perfbench; stage_format; stage_bench
+      stage_scalar; stage_sanitize
+      ;;
     *)
-      echo "unknown stage '$1' (known: build test format bench scalar sanitize all)" >&2
+      echo "unknown stage '$1' (known: build test perfbench format bench scalar sanitize all)" >&2
       exit 2
       ;;
   esac

@@ -1,6 +1,7 @@
 #include "serve/health.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 namespace llmpq {
 
@@ -98,6 +99,41 @@ void HealthMonitor::reset_baseline() {
   warmup_seen_ = 0;
   snap_.baseline_s = 0.0;
   streak_ = 0;
+}
+
+const char* plan_delta_kind_name(PlanDeltaKind kind) {
+  switch (kind) {
+    case PlanDeltaKind::kNone:
+      return "none";
+    case PlanDeltaKind::kMigrateLayer:
+      return "migrate_layer";
+    case PlanDeltaKind::kBitChange:
+      return "bit_change";
+    case PlanDeltaKind::kMicroBatch:
+      return "micro_batch";
+  }
+  return "?";
+}
+
+std::string PlanDelta::describe() const {
+  std::ostringstream os;
+  switch (kind) {
+    case PlanDeltaKind::kNone:
+      os << "no-op";
+      break;
+    case PlanDeltaKind::kMigrateLayer:
+      os << "migrate layer " << layer << " from stage " << from_stage
+         << " to stage " << to_stage;
+      break;
+    case PlanDeltaKind::kBitChange:
+      os << "requantize layer " << layer << " to " << new_bits << " bits";
+      break;
+    case PlanDeltaKind::kMicroBatch:
+      os << "resize micro-batches to prefill=" << prefill_micro_batch
+         << " decode=" << decode_micro_batch;
+      break;
+  }
+  return os.str();
 }
 
 }  // namespace llmpq

@@ -108,4 +108,62 @@ class HealthMonitor {
   int mem_fault_mark_ = 0; ///< cumulative mem faults at the last verdict
 };
 
+/// The control loop's repair vocabulary: the Replanner (serve/replanner.hpp)
+/// answers a verdict with a PlanDelta, and the serving driver
+/// (serve/serve_driver.hpp) logs each answered verdict as a ReplanEvent.
+/// They live beside the verdict so the driver needs no planner.
+
+enum class PlanDeltaKind : char {
+  kNone,          ///< no feasible single-move repair
+  kMigrateLayer,  ///< move `layer` from `from_stage` to `to_stage`
+  kBitChange,     ///< requantize `layer` to `new_bits`
+  kMicroBatch,    ///< set prefill/decode micro-batch sizes
+};
+
+const char* plan_delta_kind_name(PlanDeltaKind kind);
+
+struct PlanDelta {
+  PlanDeltaKind kind = PlanDeltaKind::kNone;
+  int layer = -1;
+  int from_stage = -1;
+  int to_stage = -1;
+  int new_bits = -1;
+  int prefill_micro_batch = 0;
+  int decode_micro_batch = 0;
+  double base_objective = 0.0;  ///< evaluator score before the move
+  double new_objective = 0.0;   ///< evaluator score after the move
+
+  std::string describe() const;
+
+  /// Parity comparison: every structural field, none of the scores (the
+  /// two back-ends run different clocks but identical search state).
+  bool same_move(const PlanDelta& other) const {
+    return kind == other.kind && layer == other.layer &&
+           from_stage == other.from_stage && to_stage == other.to_stage &&
+           new_bits == other.new_bits &&
+           prefill_micro_batch == other.prefill_micro_batch &&
+           decode_micro_batch == other.decode_micro_batch;
+  }
+};
+
+/// One control-loop decision, logged by the serving driver for every
+/// back-end. Alongside the scheduler's DispatchDecision log this forms the
+/// extended parity key: `same_decision` compares verdict identity and the
+/// proposed move, not severities or objective scores (those are
+/// clock-dependent).
+struct ReplanEvent {
+  int at_seq = -1;  ///< decision seq the verdict tripped on
+  HealthStatus status = HealthStatus::kHealthy;
+  int bottleneck_stage = -1;
+  double severity = 0.0;  ///< informational; excluded from parity
+  PlanDelta delta;
+  bool applied = false;  ///< false when no feasible repair existed
+
+  bool same_decision(const ReplanEvent& other) const {
+    return at_seq == other.at_seq && status == other.status &&
+           bottleneck_stage == other.bottleneck_stage &&
+           applied == other.applied && delta.same_move(other.delta);
+  }
+};
+
 }  // namespace llmpq

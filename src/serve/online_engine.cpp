@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <exception>
+#include <limits>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -13,108 +15,20 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/trace.hpp"
+#include "serve/serve_driver.hpp"
 
 namespace llmpq {
 
 namespace {
 
-/// Left-pads each row to `len` with its own first token (replay execution
-/// only): generate() needs one shared padded length, and left-padding
-/// keeps the sampled last position the request's true last token. The
-/// padded positions ARE attended to, which is the mixed-length fidelity
-/// gap the session path closes — see the execution-mapping note in
-/// online_engine.hpp.
-std::vector<std::vector<TokenId>> pad_left(
-    const std::vector<std::vector<TokenId>>& rows, std::size_t len) {
-  std::vector<std::vector<TokenId>> out;
-  out.reserve(rows.size());
-  for (const auto& r : rows) {
-    check_arg(!r.empty() && r.size() <= len,
-              "OnlineEngine: sequence length exceeds the padded shape");
-    std::vector<TokenId> padded(len - r.size(), r.front());
-    padded.insert(padded.end(), r.begin(), r.end());
-    out.push_back(std::move(padded));
-  }
-  return out;
-}
-
-struct DecisionTiming {
-  double total_s = 0.0;
-  double prefill_s = -1.0;  ///< prefill share of a kPrefillPass decision
-};
-
 /// Engine input for one scheduler decision, snapshotted from the request
-/// tables: the unpadded per-request rows (prompt for a prefill pass, full
-/// context for a replay decode round), their padded counterpart when the
-/// execution mode needs one, and how many output tokens each row
-/// contributes to its request. Built while the request tables are stable —
-/// the live engine holds its lock, so concurrent submit() calls cannot
-/// touch the deques mid-read.
+/// tables: each row's context and how many output tokens it contributes to
+/// its request. Built while the request tables are stable — the live
+/// engine holds its lock, so concurrent submit() calls cannot touch the
+/// deques mid-read.
 struct DecisionInputs {
-  std::vector<std::vector<TokenId>> rows;    ///< unpadded, row-aligned
-  std::vector<std::vector<TokenId>> padded;  ///< replay execution only
-  int gen_call = 1;                          ///< replay: generate() length
+  std::vector<std::vector<TokenId>> rows;  ///< row-aligned with the decision
   std::vector<std::size_t> take;  ///< per-row output tokens to keep
-};
-
-DecisionInputs prepare_decision(
-    SchedulerPolicy policy, DecodeExec exec, const DispatchDecision& d,
-    const std::deque<std::pair<std::vector<TokenId>, int>>& prompts,
-    const std::deque<std::vector<TokenId>>& generated) {
-  DecisionInputs in;
-  in.rows.reserve(d.request_ids.size());
-  in.take.reserve(d.request_ids.size());
-  if (exec == DecodeExec::kContinuous) {
-    // Continuous rounds mix decoding rows with joining rows (fresh
-    // prompts and preempt-resumes). Every row's engine input is its full
-    // context so far — for a fresh join that is just its prompt — and
-    // every row yields at most one kept token this iteration.
-    for (int id : d.request_ids) {
-      const std::size_t sid = static_cast<std::size_t>(id);
-      std::vector<TokenId> seq = prompts[sid].first;
-      seq.insert(seq.end(), generated[sid].begin(), generated[sid].end());
-      in.rows.push_back(std::move(seq));
-      const int want =
-          prompts[sid].second - static_cast<int>(generated[sid].size());
-      in.take.push_back(
-          static_cast<std::size_t>(std::clamp(want, 0, 1)));
-    }
-    return in;
-  }
-  if (d.phase == ServePhase::kPrefillPass) {
-    in.gen_call = policy == SchedulerPolicy::kStaticBatching
-                      ? std::max(1, d.padded_gen)
-                      : 1;
-    for (int id : d.request_ids) {
-      const auto& p = prompts[static_cast<std::size_t>(id)];
-      in.rows.push_back(p.first);
-      const int want = policy == SchedulerPolicy::kStaticBatching
-                           ? p.second
-                           : std::min(1, p.second);
-      in.take.push_back(static_cast<std::size_t>(std::max(0, want)));
-    }
-    if (exec == DecodeExec::kReplay)
-      in.padded = pad_left(in.rows, static_cast<std::size_t>(d.padded_prompt));
-  } else {
-    // Decode round: each row's full context so far. The session path needs
-    // it only to rebuild a lost session; replay re-runs it wholesale.
-    for (int id : d.request_ids) {
-      const std::size_t sid = static_cast<std::size_t>(id);
-      std::vector<TokenId> seq = prompts[sid].first;
-      seq.insert(seq.end(), generated[sid].begin(), generated[sid].end());
-      in.rows.push_back(std::move(seq));
-      in.take.push_back(1);
-    }
-    if (exec == DecodeExec::kReplay)
-      in.padded = pad_left(in.rows, static_cast<std::size_t>(d.max_context));
-  }
-  return in;
-}
-
-struct DecisionRun {
-  std::vector<std::vector<TokenId>> out;  ///< engine output, row-aligned
-  DecisionTiming timing;
-  std::vector<double> stage_busy_s;  ///< per-stage attribution (health)
 };
 
 /// Serving-layer per-stage fault sites ("serve.stage.<p>"): evaluated
@@ -165,9 +79,11 @@ class SessionExecutor {
   /// (and a nullptr from the router) stays on the base engine. Variants
   /// must be address-stable for the executor's lifetime (the degrade
   /// ladder's lazily-built engines are).
-  void set_router(std::function<PipelineEngine*(int)> router) {
-    router_ = std::move(router);
-  }
+  explicit SessionExecutor(std::function<PipelineEngine*(int)> router)
+      : router_(std::move(router)) {}
+  ~SessionExecutor() { release_all(); }
+  SessionExecutor(const SessionExecutor&) = delete;
+  SessionExecutor& operator=(const SessionExecutor&) = delete;
 
   /// Points the executor at (a possibly new) base engine. A swap releases
   /// every session — KV held on the previous base is useless to the
@@ -351,206 +267,6 @@ std::vector<std::vector<TokenId>> run_static_session(
   return out;
 }
 
-/// Runs the engine on prepared inputs. `sessions` is non-null exactly for
-/// the iteration-level session path. Touches no request tables, so the
-/// live engine calls it with its lock released.
-DecisionRun execute_decision(PipelineEngine& engine,
-                             SessionExecutor* sessions, ServePhase phase,
-                             const DispatchDecision& d,
-                             const DecisionInputs& in,
-                             const GenerateOptions& gopts) {
-  // Chaos site for serving-layer faults (a throw here fails the dispatch
-  // without involving the pipeline at all).
-  FAULT_POINT("serve.dispatch");
-  DecisionRun run;
-  StopwatchNs wall;
-  // Per-stage straggler sites first (inside the dispatch wall clock), then
-  // a stats snapshot so the health sample can attribute this dispatch's
-  // cost: measured per-stage busy delta plus the serving-level injected
-  // delay per stage.
-  const std::vector<double> injected =
-      check_serve_stage_sites(engine.num_stages());
-  const EngineStats before = engine.stats();
-  const double prefill_before = before.prefill.seconds;
-  if (sessions != nullptr) {
-    const std::vector<TokenId> toks = sessions->run(d, in, gopts);
-    run.out.reserve(toks.size());
-    for (TokenId t : toks) run.out.push_back({t});
-  } else if (!in.padded.empty()) {
-    run.out = engine.generate(in.padded, in.gen_call, gopts);
-  } else {
-    run.out = run_static_session(engine, in, gopts);
-  }
-  run.timing.total_s = wall.elapsed_s();
-  const EngineStats after = engine.stats();
-  run.stage_busy_s.resize(injected.size(), 0.0);
-  for (std::size_t p = 0; p < injected.size(); ++p) {
-    double busy = injected[p];
-    if (p < before.stages.size() && p < after.stages.size())
-      busy += std::max(0.0, after.stages[p].busy_s - before.stages[p].busy_s);
-    run.stage_busy_s[p] = busy;
-  }
-  if (phase == ServePhase::kPrefillPass || d.num_join > 0)
-    run.timing.prefill_s =
-        std::max(0.0, after.prefill.seconds - prefill_before);
-  return run;
-}
-
-/// Shared recovery policy for the live loop and trace replay: counts
-/// memory faults, walks the degradation ladder, and restarts a broken
-/// engine within the restart budget. Returns false when the budget is
-/// exhausted and the caller should surface the error.
-struct FailureGovernor {
-  const OnlineEngineOptions& options;
-  PipelineEngine* engine;
-  int engine_restarts = 0;
-  int degrades = 0;
-  int mem_faults = 0;  ///< since the last degrade step
-  int total_mem_faults = 0;
-  int degrade_level = 0;
-
-  /// Set when a degrade hook returned an incompatible engine; handle()
-  /// then reports no recovery and the caller surfaces this instead of the
-  /// dispatch error. handle() itself never throws — it runs outside the
-  /// serving loop's try block.
-  std::string validation_error;
-
-  bool handle(bool mem_fault) {
-    if (mem_fault) {
-      ++mem_faults;
-      ++total_mem_faults;
-      TRACE_INSTANT("serve", "mem-fault");
-      if (options.degrade &&
-          mem_faults >= options.degrade_after_mem_faults) {
-        if (PipelineEngine* next = options.degrade(++degrade_level)) {
-          // Don't trust the hook: a replacement serving a different model
-          // would silently corrupt every in-flight request. Mismatches are
-          // terminal — there is no safe engine to fall back to.
-          const std::string mismatch =
-              validate_replacement_engine(*engine, *next);
-          if (!mismatch.empty()) {
-            validation_error =
-                "OnlineEngineOptions::degrade returned an incompatible "
-                "engine at level " +
-                std::to_string(degrade_level) + ": " + mismatch;
-            return false;
-          }
-          // Step down the ladder (lower bitwidth / smaller micro-batch)
-          // and give the cheaper engine a fresh fault budget.
-          engine = next;
-          ++degrades;
-          mem_faults = 0;
-          TRACE_INSTANT("serve", "degrade");
-        }
-      }
-    }
-    if (!engine->healthy()) {
-      if (engine_restarts >= options.max_engine_restarts) return false;
-      engine->restart();
-      ++engine_restarts;
-      TRACE_INSTANT("serve", "engine-restart");
-    }
-    return true;
-  }
-};
-
-/// The control-loop state both serving back-ends share: one health sample
-/// per successful dispatch, verdicts consulted against the replan hook,
-/// and the resulting decision log. after_dispatch() returns the validated
-/// replacement engine when a migration happened (the caller rebinds
-/// sessions — releasing KV on the old engine and re-prefilling on the new
-/// one, the KvCacheManager::preempt + re-prefill primitive) and throws
-/// Error when the hook hands back an incompatible engine.
-struct ControlLoop {
-  const OnlineEngineOptions& options;
-  HealthMonitor monitor;
-  std::vector<ReplanEvent> replans;
-  int migrations = 0;
-
-  explicit ControlLoop(const OnlineEngineOptions& opts)
-      : options(opts), monitor(opts.health) {}
-
-  bool active() const {
-    return static_cast<bool>(options.replan) || !options.metrics_out.empty();
-  }
-
-  PipelineEngine* after_dispatch(const DispatchDecision& d,
-                                 const DecisionRun& run, int queue_depth,
-                                 int preemptions, int mem_faults,
-                                 PipelineEngine* current) {
-    if (!active()) return nullptr;
-    HealthSample sample;
-    sample.seq = d.seq;
-    sample.dispatch_s = run.timing.total_s;
-    sample.stage_busy_s = run.stage_busy_s;
-    sample.queue_depth = queue_depth;
-    sample.preemptions = preemptions;
-    sample.mem_faults = mem_faults;
-    const HealthVerdict verdict = monitor.observe(sample);
-    if (verdict.healthy() || !options.replan) return nullptr;
-    const ReplanOutcome out = options.replan(verdict);
-    ReplanEvent ev;
-    ev.at_seq = verdict.at_seq;
-    ev.status = verdict.status;
-    ev.bottleneck_stage = verdict.bottleneck_stage;
-    ev.severity = verdict.severity;
-    ev.delta = out.delta;
-    ev.applied = out.delta.kind != PlanDeltaKind::kNone &&
-                 out.engine != nullptr && out.engine != current;
-    replans.push_back(ev);
-    if (!ev.applied) return nullptr;
-    const std::string mismatch =
-        validate_replacement_engine(*current, *out.engine);
-    if (!mismatch.empty())
-      throw Error(
-          "OnlineEngineOptions::replan returned an incompatible engine: " +
-          mismatch);
-    ++migrations;
-    TRACE_INSTANT("serve", "migrate");
-    return out.engine;
-  }
-};
-
-/// Periodic llmpq-metrics/v1 dump of the control loop's view: health
-/// snapshot (baseline, EWMAs, per-stage busy, counters), the request
-/// latency summary so far (completed requests, arrival -> last token),
-/// and the live engine's cumulative stats. Callers hold the request
-/// tables stable (the live loop runs this under its lock).
-void export_serve_metrics(const std::string& path, const ControlLoop& control,
-                          const PipelineEngine& engine,
-                          const ServeScheduler* scheduler = nullptr) {
-  const HealthMonitor::Snapshot snap = control.monitor.snapshot();
-  MetricsRegistry reg;
-  if (scheduler != nullptr) {
-    std::vector<double> latencies;
-    for (const RequestStats& r : scheduler->finished()) {
-      if (r.outcome != RequestOutcome::kCompleted) continue;
-      latencies.push_back(r.finish_s - r.arrival_s);
-    }
-    reg.set_latency("serve.request_latency", summarize_latency(std::move(latencies)));
-    const OutcomeCounts oc = scheduler->outcomes();
-    reg.set_value("serve.requests.completed", oc.completed);
-    reg.set_value("serve.requests.timed_out", oc.timed_out);
-    reg.set_value("serve.requests.rejected", oc.rejected);
-    reg.set_value("serve.requests.failed", oc.failed);
-  }
-  reg.set_value("serve.health.samples", snap.samples);
-  reg.set_value("serve.health.verdicts", snap.verdicts);
-  reg.set_value("serve.health.baseline_s", snap.baseline_s);
-  reg.set_value("serve.health.dispatch_ewma_s", snap.dispatch_ewma_s);
-  reg.set_value("serve.health.queue_depth", snap.queue_depth);
-  reg.set_value("serve.health.preemptions", snap.preemptions);
-  reg.set_value("serve.health.mem_faults", snap.mem_faults);
-  reg.set_value("serve.health.migrations", control.migrations);
-  reg.set_value("serve.health.replans",
-                static_cast<double>(control.replans.size()));
-  for (std::size_t p = 0; p < snap.stage_busy_ewma_s.size(); ++p)
-    reg.set_value("serve.health.stage" + std::to_string(p) + ".busy_ewma_s",
-                  snap.stage_busy_ewma_s[p]);
-  reg.set_engine("serve.engine", engine.stats());
-  (void)reg.write_json_file(path);
-}
-
 std::string describe_exception(const std::exception_ptr& err) {
   try {
     std::rethrow_exception(err);
@@ -561,37 +277,277 @@ std::string describe_exception(const std::exception_ptr& err) {
   }
 }
 
-/// Appends each row's kept output tokens to its request's generated row.
-/// Called with the request tables stable again (the live engine re-takes
-/// its lock first).
-void commit_decision(const DispatchDecision& d, const DecisionInputs& in,
-                     const std::vector<std::vector<TokenId>>& out,
-                     std::deque<std::vector<TokenId>>& generated) {
-  for (std::size_t i = 0; i < d.request_ids.size(); ++i) {
-    const std::size_t id = static_cast<std::size_t>(d.request_ids[i]);
-    const std::size_t take = std::min(out[i].size(), in.take[i]);
-    generated[id].insert(generated[id].end(), out[i].begin(),
-                         out[i].begin() + static_cast<std::ptrdiff_t>(take));
-  }
-}
+/// The real-engine executor shared by the live loop and trace replay:
+/// prepare() snapshots the request tables under the lock, execute() runs
+/// the SessionExecutor (iteration-level) or ephemeral static sessions with
+/// the lock released, recover() restarts or degrades a failed engine, and
+/// replan() migrates onto the hook's validated replacement engine.
+/// Sessions are released when the executor dies, so no exit path strands
+/// them on the caller's engine.
+class EngineExecutor final : public ServeExecutor {
+ public:
+  using Prompts = std::deque<std::pair<std::vector<TokenId>, int>>;
+  using Generated = std::deque<std::vector<TokenId>>;
 
-OnlineReport build_report(const ServeScheduler& scheduler, double makespan_s,
-                          const std::deque<std::vector<TokenId>>& generated,
-                          const FailureGovernor* gov = nullptr,
-                          const std::vector<ReplanEvent>* replans = nullptr,
-                          int migrations = 0) {
-  OnlineReport rep;
+  EngineExecutor(PipelineEngine& engine, const OnlineEngineOptions& options,
+                 const Prompts& prompts, Generated& generated)
+      : options_(options),
+        prompts_(prompts),
+        generated_(generated),
+        engine_(&engine),
+        sessions_(options.class_engine) {
+    gopts_.deadline_s = options.dispatch_deadline_s;
+    sessions_.bind(&engine);
+  }
+
+  /// The driver these options ask for: health sampling feeds both the
+  /// replan hook and the metrics snapshots, so either one arms it.
+  static ServeDriver driver(ServeScheduler& scheduler,
+                            const OnlineEngineOptions& options) {
+    const bool metrics = !options.metrics_out.empty();
+    std::optional<HealthMonitorOptions> health;
+    if (options.replan || metrics) health = options.health;
+    return ServeDriver(scheduler, health, static_cast<bool>(options.replan),
+                       metrics ? options.metrics_interval_s
+                               : std::numeric_limits<double>::infinity());
+  }
+
+  void prepare(const DispatchDecision& d) override {
+    // Every row's engine input is its context so far — just the prompt
+    // until it has output; a session needs more only to rebuild a lost
+    // session. A static batch keeps its whole generation, every other
+    // dispatch at most one token per row.
+    const bool whole =
+        options_.scheduler.policy == SchedulerPolicy::kStaticBatching;
+    inputs_.rows.clear();
+    inputs_.take.clear();
+    for (int id : d.request_ids) {
+      const std::size_t i = static_cast<std::size_t>(id);
+      const auto& [prompt, gen] = prompts_[i];
+      const std::vector<TokenId>& done = generated_[i];
+      std::vector<TokenId> seq = prompt;
+      seq.insert(seq.end(), done.begin(), done.end());
+      inputs_.rows.push_back(std::move(seq));
+      const int want = gen - static_cast<int>(done.size());
+      inputs_.take.push_back(static_cast<std::size_t>(
+          std::max(0, whole ? want : std::min(want, 1))));
+    }
+  }
+
+  DispatchResult execute(const DispatchDecision& d, double start) override {
+    DispatchResult r;
+    StopwatchNs attempt;
+    try {
+      TRACE_SPAN1("serve",
+                  d.phase == ServePhase::kPrefillPass ? "execute-prefill"
+                                                      : "execute-decode",
+                  "batch", d.request_ids.size());
+      // Chaos site for serving-layer faults (a throw here fails the
+      // dispatch without involving the pipeline at all).
+      FAULT_POINT("serve.dispatch");
+      StopwatchNs wall;
+      // Per-stage straggler sites first (inside the dispatch wall clock),
+      // then a stats snapshot so the health sample can attribute this
+      // dispatch's cost: measured per-stage busy delta plus the
+      // serving-level injected delay per stage.
+      r.stage_busy_s = check_serve_stage_sites(engine_->num_stages());
+      const EngineStats before = engine_->stats();
+      if (options_.scheduler.policy == SchedulerPolicy::kIterationLevel) {
+        out_.clear();
+        for (TokenId t : sessions_.run(d, inputs_, gopts_)) out_.push_back({t});
+      } else {
+        out_ = run_static_session(*engine_, inputs_, gopts_);
+      }
+      const double total_s = wall.elapsed_s();
+      const EngineStats after = engine_->stats();
+      for (std::size_t p = 0; p < r.stage_busy_s.size(); ++p)
+        if (p < before.stages.size() && p < after.stages.size())
+          r.stage_busy_s[p] +=
+              std::max(0.0, after.stages[p].busy_s - before.stages[p].busy_s);
+      r.end_s = start + total_s;
+      r.dispatch_s = total_s;
+      if (d.phase == ServePhase::kPrefillPass || d.num_join > 0)
+        r.prefill_end_s =
+            start +
+            std::max(0.0, after.prefill.seconds - before.prefill.seconds);
+      return r;
+    } catch (const std::bad_alloc&) {
+      mem_fault_ = true;
+      error_ = std::current_exception();
+    } catch (...) {
+      mem_fault_ = false;
+      error_ = std::current_exception();
+    }
+    // A failed call's wall time still advances a virtual clock, so retried
+    // dispatches do not appear free.
+    r.ok = false;
+    r.end_s = start + attempt.elapsed_s();
+    return r;
+  }
+
+  void commit(const DispatchDecision& d) override {
+    for (std::size_t i = 0; i < d.request_ids.size(); ++i) {
+      const std::size_t id = static_cast<std::size_t>(d.request_ids[i]);
+      const std::size_t take = std::min(out_[i].size(), inputs_.take[i]);
+      generated_[id].insert(
+          generated_[id].end(), out_[i].begin(),
+          out_[i].begin() + static_cast<std::ptrdiff_t>(take));
+    }
+  }
+
+  /// Counts memory faults, steps down the degradation ladder after
+  /// repeated ones, and restarts a broken engine within the restart
+  /// budget. A degrade step swaps the engine, and the rebind drops sessions
+  /// whose KV lives on the old one. An exhausted budget rethrows the
+  /// dispatch error; an incompatible degrade engine throws Error.
+  void recover() override {
+    if (mem_fault_) {
+      ++mem_faults_;
+      ++total_mem_faults_;
+      TRACE_INSTANT("serve", "mem-fault");
+      if (options_.degrade &&
+          mem_faults_ >= options_.degrade_after_mem_faults) {
+        if (PipelineEngine* next = options_.degrade(++degrade_level_)) {
+          // Don't trust the hook: a replacement serving a different model
+          // would silently corrupt every in-flight request. Mismatches are
+          // terminal — there is no safe engine to fall back to.
+          const std::string mismatch =
+              validate_replacement_engine(*engine_, *next);
+          if (!mismatch.empty())
+            throw Error(
+                "OnlineEngineOptions::degrade returned an incompatible "
+                "engine at level " +
+                std::to_string(degrade_level_) + ": " + mismatch);
+          // Step down the ladder (lower bitwidth / smaller micro-batch)
+          // and give the cheaper engine a fresh fault budget.
+          engine_ = next;
+          sessions_.bind(next);
+          ++degrades_;
+          mem_faults_ = 0;
+          TRACE_INSTANT("serve", "degrade");
+        }
+      }
+    }
+    if (!engine_->healthy()) {
+      if (engine_restarts_ >= options_.max_engine_restarts)
+        std::rethrow_exception(error_);
+      engine_->restart();
+      ++engine_restarts_;
+      TRACE_INSTANT("serve", "engine-restart");
+    }
+  }
+
+  void settle(const ServeScheduler& scheduler) override {
+    sessions_.reconcile(scheduler.finished());
+  }
+
+  int mem_faults() const override { return total_mem_faults_; }
+
+  /// A validated migration swaps the engine live. The rebind releases
+  /// every KV page on the old engine; the next decision rebuilds each
+  /// request from its authoritative context via re-prefill, which under
+  /// greedy sampling resumes it exactly.
+  void replan(const HealthVerdict& verdict, ReplanEvent& ev) override {
+    const ReplanOutcome out = options_.replan(verdict);
+    ev.delta = out.delta;
+    ev.applied = out.delta.kind != PlanDeltaKind::kNone &&
+                 out.engine != nullptr && out.engine != engine_;
+    if (!ev.applied) return;
+    const std::string mismatch =
+        validate_replacement_engine(*engine_, *out.engine);
+    if (!mismatch.empty())
+      throw Error(
+          "OnlineEngineOptions::replan returned an incompatible engine: " +
+          mismatch);
+    TRACE_INSTANT("serve", "migrate");
+    engine_ = out.engine;
+    sessions_.bind(out.engine);
+  }
+
+  /// llmpq-metrics/v1 dump of the control loop's view: health snapshot
+  /// (baseline, EWMAs, per-stage busy, counters), the request latency
+  /// summary so far (completed requests, arrival -> last token), and the
+  /// live engine's cumulative stats.
+  void export_metrics(const ServeDriver& driver) override {
+    if (options_.metrics_out.empty()) return;
+    const HealthMonitor::Snapshot snap = driver.monitor()->snapshot();
+    MetricsRegistry reg;
+    std::vector<double> latencies;
+    for (const RequestStats& r : driver.scheduler().finished()) {
+      if (r.outcome != RequestOutcome::kCompleted) continue;
+      latencies.push_back(r.finish_s - r.arrival_s);
+    }
+    reg.set_latency("serve.request_latency",
+                    summarize_latency(std::move(latencies)));
+    const OutcomeCounts oc = driver.scheduler().outcomes();
+    reg.set_value("serve.requests.completed", oc.completed);
+    reg.set_value("serve.requests.timed_out", oc.timed_out);
+    reg.set_value("serve.requests.rejected", oc.rejected);
+    reg.set_value("serve.requests.failed", oc.failed);
+    reg.set_value("serve.health.samples", snap.samples);
+    reg.set_value("serve.health.verdicts", snap.verdicts);
+    reg.set_value("serve.health.baseline_s", snap.baseline_s);
+    reg.set_value("serve.health.dispatch_ewma_s", snap.dispatch_ewma_s);
+    reg.set_value("serve.health.queue_depth", snap.queue_depth);
+    reg.set_value("serve.health.preemptions", snap.preemptions);
+    reg.set_value("serve.health.mem_faults", snap.mem_faults);
+    reg.set_value("serve.health.migrations", driver.migrations());
+    reg.set_value("serve.health.replans",
+                  static_cast<double>(driver.replans().size()));
+    for (std::size_t p = 0; p < snap.stage_busy_ewma_s.size(); ++p)
+      reg.set_value("serve.health.stage" + std::to_string(p) + ".busy_ewma_s",
+                    snap.stage_busy_ewma_s[p]);
+    reg.set_engine("serve.engine", engine_->stats());
+    (void)reg.write_json_file(options_.metrics_out);
+  }
+
+  /// End of the run: frees every session, then writes the final snapshot.
+  void drain(const ServeDriver& driver) {
+    sessions_.release_all();
+    export_metrics(driver);
+  }
+
+  /// The run's own counters; finish_report() adds the scheduler's records.
+  OnlineReport totals(const ServeDriver& driver, double makespan_s) const {
+    OnlineReport rep;
+    rep.makespan_s = makespan_s;
+    rep.engine_restarts = engine_restarts_;
+    rep.degrades = degrades_;
+    rep.mem_faults = total_mem_faults_;
+    rep.replans = driver.replans();
+    rep.migrations = driver.migrations();
+    return rep;
+  }
+
+ private:
+  const OnlineEngineOptions& options_;
+  const Prompts& prompts_;
+  Generated& generated_;
+  PipelineEngine* engine_;  ///< base engine; degrade and replan swap it
+  GenerateOptions gopts_;
+  SessionExecutor sessions_;
+  DecisionInputs inputs_;                  ///< the decision in flight
+  std::vector<std::vector<TokenId>> out_;  ///< its output, row-aligned
+  bool mem_fault_ = false;                 ///< the last failure's kind
+  std::exception_ptr error_;               ///< and the failure itself
+  int engine_restarts_ = 0;
+  int degrades_ = 0;
+  int mem_faults_ = 0;  ///< since the last degrade step
+  int total_mem_faults_ = 0;
+  int degrade_level_ = 0;
+};
+
+/// Completes a run's totals() with the scheduler's records, the
+/// generated tokens and the served-request summaries.
+OnlineReport finish_report(OnlineReport rep, const ServeScheduler& scheduler,
+                           const std::deque<std::vector<TokenId>>& generated) {
   rep.requests = scheduler.finished();
   rep.decisions = scheduler.decision_log();
-  rep.makespan_s = makespan_s;
   // Throughput and the latency summaries cover served requests only —
   // folding rejected/timed-out requests in would make a lossy run look
   // faster, not slower.
   std::int64_t tokens_out = 0;
   std::vector<double> latencies, queue_delays, prefills;
-  latencies.reserve(rep.requests.size());
-  queue_delays.reserve(rep.requests.size());
-  prefills.reserve(rep.requests.size());
   for (const RequestStats& r : rep.requests) {
     if (r.outcome != RequestOutcome::kCompleted) continue;
     ++rep.completed;
@@ -608,15 +564,10 @@ OnlineReport build_report(const ServeScheduler& scheduler, double makespan_s,
   rep.rejected = oc.rejected;
   rep.failed = oc.failed;
   rep.retries = oc.retries;
-  if (gov != nullptr) {
-    rep.engine_restarts = gov->engine_restarts;
-    rep.degrades = gov->degrades;
-    rep.mem_faults = gov->total_mem_faults;
-  }
-  if (replans != nullptr) rep.replans = *replans;
-  rep.migrations = migrations;
   rep.throughput_tokens_per_s =
-      makespan_s > 0.0 ? static_cast<double>(tokens_out) / makespan_s : 0.0;
+      rep.makespan_s > 0.0
+          ? static_cast<double>(tokens_out) / rep.makespan_s
+          : 0.0;
   rep.latency = summarize_latency(std::move(latencies));
   rep.queue_delay = summarize_latency(std::move(queue_delays));
   rep.prefill = summarize_latency(std::move(prefills));
@@ -644,7 +595,7 @@ std::string validate_replacement_engine(const PipelineEngine& current,
 
 OnlineEngine::OnlineEngine(PipelineEngine& engine,
                            const OnlineEngineOptions& options)
-    : engine_(&engine), options_(options), scheduler_(options.scheduler) {
+    : engine_(engine), options_(options), scheduler_(options.scheduler) {
   // The scheduler's clock (clock_) reads zero right now, so now_s() is the
   // offset that aligns its lifecycle events with the wall-clock spans.
   scheduler_.enable_trace(trace_pids::kServe, TraceSession::now_s());
@@ -711,145 +662,25 @@ OnlineReport OnlineEngine::wait() {
     lk.lock();
   }
   if (error_) std::rethrow_exception(error_);
-  FailureGovernor gov{options_, engine_};
-  gov.engine_restarts = engine_restarts_;
-  gov.degrades = degrades_;
-  gov.total_mem_faults = total_mem_faults_;
-  return build_report(scheduler_, makespan_s_, generated_, &gov, &replans_,
-                      migrations_);
+  return finish_report(totals_, scheduler_, generated_);
 }
 
 void OnlineEngine::serve_loop() {
   if (TraceSession::enabled()) TraceSession::set_thread_name("serve-loop");
-  GenerateOptions gopts;
-  gopts.deadline_s = options_.dispatch_deadline_s;
-  FailureGovernor gov{options_, engine_};
-  ControlLoop control(options_);
-  double last_metrics_s = 0.0;
-  const bool session_iter =
-      options_.scheduler.policy == SchedulerPolicy::kIterationLevel &&
-      (options_.scheduler.exec == DecodeExec::kSession ||
-       options_.scheduler.exec == DecodeExec::kContinuous);
-  SessionExecutor sessions;
-  sessions.set_router(options_.class_engine);
-  sessions.bind(engine_);
   std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    const double now = clock_.elapsed_s();
-    SchedulerAction a = scheduler_.next(now);
-    // Deadline expiry inside next() can finish active requests; return
-    // their KV pages promptly.
-    if (session_iter) sessions.reconcile(scheduler_.finished());
-    TRACE_COUNTER("serve", "pending", scheduler_.pending());
-    if (a.kind == SchedulerAction::Kind::kDone) break;
-    if (a.kind == SchedulerAction::Kind::kWait) {
-      // Either block for new submissions (unbounded wait) or sleep until
-      // the scheduler's deadline — the stale timer that bounds a lone
-      // request's wait at arrival + max_wait_s, or a retry-backoff or
-      // request-deadline wakeup. Submissions wake us early.
-      if (std::isinf(a.wait_until))
-        cv_.wait(lk);
-      else
-        cv_.wait_for(lk, std::chrono::duration<double>(
-                             std::max(1e-4, a.wait_until - now)));
-      continue;
-    }
-    const DispatchDecision d = std::move(a.decision);
-    // Snapshot the engine inputs while still holding mu_: submit() may
-    // concurrently grow prompts_/generated_, and deque growth can
-    // reallocate the internal block map that operator[] traverses, so an
-    // unsynchronized read during emplace_back is a data race.
-    const DecisionInputs inputs = prepare_decision(
-        options_.scheduler.policy, options_.scheduler.exec, d, prompts_,
-        generated_);
-    lk.unlock();
-    const double start = clock_.elapsed_s();
-    DecisionRun run;
-    bool mem_fault = false;
-    std::exception_ptr err;
-    try {
-      TRACE_SPAN1("serve",
-                  d.phase == ServePhase::kPrefillPass ? "execute-prefill"
-                                                      : "execute-decode",
-                  "batch", d.request_ids.size());
-      run = execute_decision(*gov.engine, session_iter ? &sessions : nullptr,
-                             d.phase, d, inputs, gopts);
-    } catch (const std::bad_alloc&) {
-      mem_fault = true;
-      err = std::current_exception();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    lk.lock();
-    if (err) {
-      // Hand the failed dispatch back to the scheduler (retry with
-      // backoff, kFailed past the cap), then recover the engine: restart
-      // it if the fault broke it, step down the degradation ladder after
-      // repeated memory faults. Only an exhausted restart budget kills
-      // the loop — that terminal error is what submit()/wait() surface.
-      scheduler_.fail(d, clock_.elapsed_s());
-      const bool recovered = gov.handle(mem_fault);
-      engine_ = gov.engine;
-      engine_restarts_ = gov.engine_restarts;
-      degrades_ = gov.degrades;
-      total_mem_faults_ = gov.total_mem_faults;
-      if (session_iter) {
-        // A degrade step swaps the engine: rebind (dropping sessions whose
-        // KV lives on the old engine) and release sessions of requests the
-        // failure finished for good.
-        sessions.bind(gov.engine);
-        sessions.reconcile(scheduler_.finished());
-      }
-      if (!recovered) {
-        if (!gov.validation_error.empty())
-          err = std::make_exception_ptr(Error(gov.validation_error));
-        error_ = err;
-        error_what_ = describe_exception(err);
-        break;
-      }
-      continue;
-    }
-    commit_decision(d, inputs, run.out, generated_);
-    const double finish = clock_.elapsed_s();
-    const double prefill_end =
-        (d.phase == ServePhase::kPrefillPass || d.num_join > 0) &&
-                run.timing.prefill_s >= 0.0
-            ? start + run.timing.prefill_s
-            : -1.0;
-    scheduler_.complete(d, finish, prefill_end);
-    if (session_iter) sessions.reconcile(scheduler_.finished());
-    makespan_s_ = finish;
-    // Control loop: one health sample per dispatch; a verdict consults the
-    // replan hook and a validated migration swaps the engine live. The
-    // session rebind releases every KV page on the old engine; the next
-    // decision rebuilds each request from its authoritative context via
-    // re-prefill, which under greedy sampling resumes it exactly.
-    try {
-      if (PipelineEngine* next = control.after_dispatch(
-              d, run, scheduler_.pending(), scheduler_.preemptions(),
-              gov.total_mem_faults, gov.engine)) {
-        gov.engine = next;
-        engine_ = next;
-        if (session_iter) sessions.bind(next);
-      }
-    } catch (...) {
-      error_ = std::current_exception();
-      error_what_ = describe_exception(error_);
-      break;
-    }
-    if (!options_.metrics_out.empty() &&
-        finish - last_metrics_s >= options_.metrics_interval_s) {
-      last_metrics_s = finish;
-      export_serve_metrics(options_.metrics_out, control, *gov.engine,
-                           &scheduler_);
-    }
+  EngineExecutor exec(engine_, options_, prompts_, generated_);
+  ServeDriver driver = EngineExecutor::driver(scheduler_, options_);
+  WallClock clock(clock_, lk, cv_);
+  try {
+    driver.run(clock, exec);
+  } catch (...) {
+    // The terminal failure submit() and wait() surface.
+    if (!lk.owns_lock()) lk.lock();
+    error_ = std::current_exception();
+    error_what_ = describe_exception(error_);
   }
-  sessions.release_all();
-  if (!options_.metrics_out.empty())
-    export_serve_metrics(options_.metrics_out, control, *gov.engine,
-                         &scheduler_);
-  replans_ = std::move(control.replans);
-  migrations_ = control.migrations;
+  exec.drain(driver);
+  totals_ = exec.totals(driver, driver.last_finish_s());
   done_ = true;
   lk.unlock();
   cv_.notify_all();
@@ -883,96 +714,13 @@ OnlineReport serve_trace(PipelineEngine& engine,
 
   // Virtual clock: arrivals advance it per the trace; each decision
   // advances it by the measured wall time of the real engine call.
-  GenerateOptions gopts;
-  gopts.deadline_s = options.dispatch_deadline_s;
-  FailureGovernor gov{options, &engine};
-  ControlLoop control(options);
-  double last_metrics_s = 0.0;
-  const bool session_iter =
-      options.scheduler.policy == SchedulerPolicy::kIterationLevel &&
-      (options.scheduler.exec == DecodeExec::kSession ||
-       options.scheduler.exec == DecodeExec::kContinuous);
-  SessionExecutor sessions;
-  sessions.set_router(options.class_engine);
-  sessions.bind(&engine);
-  double t = 0.0;
-  for (;;) {
-    SchedulerAction a = scheduler.next(t);
-    if (session_iter) sessions.reconcile(scheduler.finished());
-    if (a.kind == SchedulerAction::Kind::kDone) break;
-    if (a.kind == SchedulerAction::Kind::kWait) {
-      check_arg(std::isfinite(a.wait_until),
-                "serve_trace: scheduler blocked on a closed stream");
-      t = std::max(t, a.wait_until);
-      continue;
-    }
-    const DispatchDecision d = std::move(a.decision);
-    const DecisionInputs inputs = prepare_decision(
-        options.scheduler.policy, options.scheduler.exec, d, prompts,
-        generated);
-    DecisionRun run;
-    bool mem_fault = false;
-    std::exception_ptr err;
-    StopwatchNs wall;
-    try {
-      run = execute_decision(*gov.engine, session_iter ? &sessions : nullptr,
-                             d.phase, d, inputs, gopts);
-    } catch (const std::bad_alloc&) {
-      mem_fault = true;
-      err = std::current_exception();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (err) {
-      // Same recovery policy as the live loop, on the virtual clock: the
-      // failed call's wall time still advances it so retried dispatches
-      // do not appear free.
-      t += wall.elapsed_s();
-      scheduler.fail(d, t);
-      const bool recovered = gov.handle(mem_fault);
-      if (session_iter) {
-        sessions.bind(gov.engine);
-        sessions.reconcile(scheduler.finished());
-      }
-      if (!recovered) {
-        if (!gov.validation_error.empty()) throw Error(gov.validation_error);
-        std::rethrow_exception(err);
-      }
-      continue;
-    }
-    commit_decision(d, inputs, run.out, generated);
-    const double finish = t + run.timing.total_s;
-    const double prefill_end =
-        (d.phase == ServePhase::kPrefillPass || d.num_join > 0) &&
-                run.timing.prefill_s >= 0.0
-            ? t + run.timing.prefill_s
-            : -1.0;
-    scheduler.complete(d, finish, prefill_end);
-    if (session_iter) sessions.reconcile(scheduler.finished());
-    t = finish;
-    // Same control loop as the live path, on the virtual clock (the
-    // health sample's dispatch cost is the measured wall time of the real
-    // engine call, so an injected straggler dominates it identically).
-    if (PipelineEngine* next =
-            control.after_dispatch(d, run, scheduler.pending(),
-                                   scheduler.preemptions(),
-                                   gov.total_mem_faults, gov.engine)) {
-      gov.engine = next;
-      if (session_iter) sessions.bind(next);
-    }
-    if (!options.metrics_out.empty() &&
-        finish - last_metrics_s >= options.metrics_interval_s) {
-      last_metrics_s = finish;
-      export_serve_metrics(options.metrics_out, control, *gov.engine,
-                           &scheduler);
-    }
-  }
-  sessions.release_all();
-  if (!options.metrics_out.empty())
-    export_serve_metrics(options.metrics_out, control, *gov.engine,
-                         &scheduler);
-  return build_report(scheduler, t, generated, &gov, &control.replans,
-                      control.migrations);
+  EngineExecutor exec(engine, options, prompts, generated);
+  ServeDriver driver = EngineExecutor::driver(scheduler, options);
+  VirtualClock clock;
+  driver.run(clock, exec);
+  exec.drain(driver);
+  return finish_report(exec.totals(driver, clock.now()), scheduler,
+                       generated);
 }
 
 }  // namespace llmpq

@@ -18,43 +18,36 @@
 
 namespace llmpq {
 
-/// Online serving loop over the real threaded `PipelineEngine`, driven by
-/// the same `ServeScheduler` the online *simulator* uses — the policy code
-/// (admission, batching, stale timer, queue-delay accounting) is shared,
-/// so a fix lands in both back-ends at once and the sim-vs-runtime parity
-/// test can assert identical admission order and batch composition on
-/// identical traces.
+/// Online serving over the real threaded `PipelineEngine`. Both entry
+/// points — the live `OnlineEngine` and `serve_trace` — run the one serving
+/// driver (serve/serve_driver.hpp) with the same engine executor, and the
+/// online *simulator* runs that driver too with a roofline executor: the
+/// policy code (admission, batching, stale timer, queue-delay accounting)
+/// and the control loop are written once, so the sim-vs-runtime parity
+/// tests assert identical admission order, batch composition and re-plan
+/// events on identical traces.
 ///
-/// Execution mapping (SchedulerOptions::exec picks the decode strategy;
-/// it never changes which requests are batched, only how a dispatch runs):
-///   * iteration-level + DecodeExec::kSession (default) — prefill
-///     decisions begin persistent engine sessions and run one ragged
-///     prefill; every decode round advances the active set by exactly one
-///     token via `PipelineEngine::decode_step`, reusing all cached KV.
-///   * static batching + kSession — one dispatch runs over ephemeral
-///     sessions: a ragged batch prefill, then one decode round per
-///     outstanding token with each request leaving at its own generation
-///     length (no padded-shape work).
-///   * kReplay — the historical execution kept as the benchmark baseline:
-///     static batching is one padded `generate()` call (prefill +
-///     padded_gen tokens); iteration-level re-runs the active set's full
-///     padded contexts for one token per decode round, a prefill-shaped
-///     pass per round with pad positions attended to.
-///
-/// Mixed-length batches are exact in session mode: ragged passes carry no
-/// pad tokens, so each request reproduces its unbatched greedy
-/// continuation bit-for-bit (the mixed-length regression test pins this
-/// against `reference_generate`). Replay mode keeps the old limitation —
-/// left-padded rows attend to their pad positions, so shorter requests can
-/// diverge — which is why it exists only for benchmark comparison and
-/// regression coverage, not serving.
+/// Execution mapping (the policy picks the shape of a dispatch; every
+/// dispatch runs over engine sessions, so mixed-length batches carry no pad
+/// tokens and each request reproduces its unbatched greedy continuation
+/// bit-for-bit):
+///   * iteration-level (DecodeExec::kSession or kContinuous) — prefill
+///     decisions and continuous joins begin persistent engine sessions and
+///     run one ragged prefill; every decode round advances the active set
+///     by exactly one token via `PipelineEngine::decode_step`, reusing all
+///     cached KV.
+///   * static batching — one dispatch runs over ephemeral sessions: a
+///     ragged batch prefill, then one decode round per outstanding token
+///     with each request leaving at its own generation length (no
+///     padded-shape work).
 ///
 /// Live mode: construct, submit() from any thread (arrival time = wall
 /// clock), close(), then wait() for the report. A dedicated admission
-/// thread owns the scheduler; submissions wake it through a condition
-/// variable, and a kWait action sleeps until the stale deadline — the
-/// scheduler's fixed timer is what bounds a lone request's wait at
-/// `arrival + max_wait_s`.
+/// thread runs the driver on the wall clock under the engine's lock;
+/// submissions wake it through a condition variable, and a kWait action
+/// sleeps until the stale deadline — the scheduler's fixed timer is what
+/// bounds a lone request's wait at `arrival + max_wait_s`. The lock is
+/// released only while a dispatch executes.
 ///
 /// Trace mode (`serve_trace`): replays a timestamped trace on a virtual
 /// clock — arrivals advance it per the trace, executions advance it by the
@@ -208,7 +201,7 @@ class OnlineEngine {
  private:
   void serve_loop();
 
-  PipelineEngine* engine_;  ///< degradation can swap in a replacement
+  PipelineEngine& engine_;  ///< base engine; the loop tracks swaps itself
   OnlineEngineOptions options_;
 
   std::mutex mu_;
@@ -217,18 +210,11 @@ class OnlineEngine {
   std::deque<std::pair<std::vector<TokenId>, int>> prompts_;  ///< by id
   std::deque<std::vector<TokenId>> generated_;                ///< by id
   StopwatchNs clock_;
-  double makespan_s_ = 0.0;
   bool done_ = false;
   bool joined_ = false;       ///< server_ join happened (wait idempotence)
   std::exception_ptr error_;  ///< loop failure, rethrown by wait()
   std::string error_what_;    ///< its message, for submit() fail-fast
-  int engine_restarts_ = 0;
-  int degrades_ = 0;
-  int mem_faults_ = 0;        ///< since the last degrade step
-  int total_mem_faults_ = 0;
-  int degrade_level_ = 0;
-  std::vector<ReplanEvent> replans_;  ///< control-loop decision log
-  int migrations_ = 0;
+  OnlineReport totals_;       ///< the loop's own counters, once it drains
   std::thread server_;  ///< started last, joined in wait()/destructor
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "hw/gpu_spec.hpp"
@@ -19,41 +18,6 @@ struct MigrateCandidate {
 };
 
 }  // namespace
-
-const char* plan_delta_kind_name(PlanDeltaKind kind) {
-  switch (kind) {
-    case PlanDeltaKind::kNone:
-      return "none";
-    case PlanDeltaKind::kMigrateLayer:
-      return "migrate_layer";
-    case PlanDeltaKind::kBitChange:
-      return "bit_change";
-    case PlanDeltaKind::kMicroBatch:
-      return "micro_batch";
-  }
-  return "?";
-}
-
-std::string PlanDelta::describe() const {
-  std::ostringstream os;
-  switch (kind) {
-    case PlanDeltaKind::kNone:
-      os << "no-op";
-      break;
-    case PlanDeltaKind::kMigrateLayer:
-      os << "migrate layer " << layer << " from stage " << from_stage
-         << " to stage " << to_stage;
-      break;
-    case PlanDeltaKind::kBitChange:
-      os << "requantize layer " << layer << " to " << new_bits << " bits";
-      break;
-    case PlanDeltaKind::kMicroBatch:
-      os << "resize micro-batches to prefill=" << prefill_micro_batch
-         << " decode=" << decode_micro_batch;
-      break;
-  }
-  return os.str();
-}
 
 PlanDelta Replanner::propose(const ExecutionPlan& plan,
                              const HealthVerdict& verdict) const {

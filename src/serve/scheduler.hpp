@@ -15,13 +15,10 @@ namespace llmpq {
 
 /// Shared serving scheduler (paper Sec. 2.3 / Sec. 7, and the ORCA/vLLM
 /// style systems the discussion defers to): *pure decision logic* for
-/// batching arriving requests, factored out of the online simulator so the
-/// exact same policy code drives both back-ends —
-///
-///   * `sim/online_sim.cpp` advances a virtual clock with analytic
-///     roofline pass times, and
-///   * `serve/online_engine.cpp` advances a wall clock with the real
-///     threaded `PipelineEngine`.
+/// batching arriving requests. The serving driver (`serve/serve_driver.hpp`)
+/// runs it for every back-end — a virtual clock with analytic roofline
+/// pass times (`sim/online_sim.cpp`), or a wall or virtual clock with the
+/// real threaded `PipelineEngine` (`serve/online_engine.cpp`).
 ///
 /// The scheduler consumes arrival events plus a caller-supplied clock and
 /// emits dispatch decisions (which requests, which phase, padded shapes).
@@ -60,24 +57,17 @@ enum class SchedulerPolicy {
 };
 
 /// How a back-end executes the decode rounds the scheduler dispatches.
-/// For kSession/kReplay this is purely an *execution* strategy: it changes
-/// what a dispatch costs (and, for kReplay, mixed-length fidelity), never
-/// which requests are batched — their decision logs are identical.
-/// kContinuous is different in kind: it routes decisions through the
-/// capacity planner (joins ride along with decode rounds, memory pressure
-/// preempts), so its log differs from the other two — but it is still
-/// deterministic and back-end independent, which is what lets the parity
-/// test pin sim against runtime for all three.
+/// Both modes run over engine sessions and are exact for mixed-length
+/// batches; they differ in which decisions the scheduler makes. kContinuous
+/// routes decisions through the capacity planner (joins ride along with
+/// decode rounds, memory pressure preempts), so its log differs from
+/// kSession's — but it is still deterministic and back-end independent,
+/// which is what lets the parity test pin sim against runtime for both.
 enum class DecodeExec {
   /// Step-level engine sessions: KV persists across decisions and each
   /// decode round feeds exactly one new token per request (ragged, no
-  /// padding). Exact for mixed-length batches.
+  /// padding).
   kSession,
-  /// Historical replay decode: each decode round re-runs every active
-  /// request's full padded context for one token — a prefill-shaped pass
-  /// per round, with pad positions attended to. Kept as the regression
-  /// baseline the session path is benchmarked against.
-  kReplay,
   /// Continuous (in-flight) batching over engine sessions: between decode
   /// steps the capacity planner admits waiting requests into the running
   /// batch (their prefill joins the same iteration), retires finished
@@ -97,9 +87,8 @@ struct SchedulerOptions {
   double max_wait_s = 5.0;
   /// Decode execution strategy for the back-end (see DecodeExec). Lives in
   /// the shared options so sim and runtime stay configured identically.
-  /// For kSession/kReplay the scheduler ignores it — decisions do not
-  /// depend on it; kContinuous switches the decision path to the capacity
-  /// planner (identical in sim and runtime, so parity still holds).
+  /// kContinuous switches the decision path to the capacity planner
+  /// (identical in sim and runtime, so parity still holds).
   DecodeExec exec = DecodeExec::kSession;
 
   // ---- Continuous-batching budgets (kContinuous only; ignored by the

@@ -9,7 +9,7 @@
 #include "common/stats.hpp"
 #include "cost/ground_truth.hpp"
 #include "cost/profiler.hpp"
-#include "serve/health.hpp"
+#include "serve/serve_driver.hpp"
 #include "sim/pipeline_sim.hpp"
 
 namespace llmpq {
@@ -171,6 +171,117 @@ double pass_time(const ModelSpec& model, const ClusterSpec& cluster,
   return total;
 }
 
+/// The roofline executor behind simulate_online: each dispatch costs
+/// `pass_time` on the working plan, the "sim.dispatch" and per-stage
+/// "serve.stage.<p>" FaultLottery sites turn into stragglers or failures,
+/// and replan() mutates the working plan through the Replanner (the
+/// runtime swaps engines at the same point).
+class ModelExecutor final : public ServeExecutor {
+ public:
+  ModelExecutor(const ModelSpec& model, const ClusterSpec& cluster,
+                const ExecutionPlan& plan, const OnlineSimOptions& options,
+                const FaultPlan& faults, const OnlineReplanOptions* replan)
+      : model_(model),
+        cluster_(cluster),
+        options_(options),
+        lottery_(faults),
+        faults_armed_(!faults.empty()),
+        plan_(plan) {
+    if (replan != nullptr)
+      replanner_.emplace(*replan->cost, replan->indicator, replan->theta);
+  }
+
+  DispatchResult execute(const DispatchDecision& d, double t) override {
+    DispatchResult r;
+    r.end_s = t;  // a failed dispatch costs nothing on the model clock
+    const int batch = static_cast<int>(d.request_ids.size());
+    r.stage_busy_s.assign(static_cast<std::size_t>(plan_.num_stages()), 0.0);
+    double straggle = 0.0;
+    if (faults_armed_) {
+      // One "sim.dispatch" draw per decision: a delay rule makes the
+      // dispatch a straggler, any other kind fails it and exercises the
+      // retry/backoff/kFailed machinery.
+      const FaultAction fa = lottery_.check("sim.dispatch");
+      if (fa.kind != FaultKind::kNone) ++fault_events_;
+      if (fa.kind == FaultKind::kDelay) {
+        straggle = fa.delay_s;
+      } else if (fa.kind != FaultKind::kNone) {
+        r.ok = false;
+        return r;
+      }
+      // Per-stage serving sites, one draw per decision per plan stage —
+      // the cadence the runtime serving loop uses. A delay/slow firing is
+      // charged per layer of the stage, so a migration that moves layers
+      // off the straggler shrinks the drag on the virtual clock; any
+      // other kind fails the dispatch (and, like the runtime, stops
+      // evaluating later stages' sites for this attempt).
+      for (int p = 0; p < plan_.num_stages(); ++p) {
+        const FaultAction sa =
+            lottery_.check(("serve.stage." + std::to_string(p)).c_str());
+        if (sa.kind == FaultKind::kNone) continue;
+        ++fault_events_;
+        if (sa.kind == FaultKind::kDelay || sa.kind == FaultKind::kSlow) {
+          const double drag = sa.delay_s * plan_.stage_size(p);
+          straggle += drag;
+          r.stage_busy_s[static_cast<std::size_t>(p)] += drag;
+        } else if (sa.kind != FaultKind::kDrop) {
+          r.ok = false;
+          return r;
+        }
+      }
+    }
+    const auto pass = [&](Phase phase, int rows, int seq_or_ctx) {
+      return pass_time(model_, cluster_, plan_, phase, rows, seq_or_ctx,
+                       &r.stage_busy_s);
+    };
+    double finish;
+    if (d.phase == ServePhase::kPrefillPass) {
+      r.prefill_end_s =
+          t + straggle + pass(Phase::kPrefill, batch, d.padded_prompt);
+      finish = r.prefill_end_s;
+      if (options_.policy == SchedulerPolicy::kStaticBatching) {
+        // Static batching runs the whole padded generation as one unit;
+        // the batch stays intact until its longest request finishes.
+        for (int round = 1; round < d.padded_gen; ++round)
+          finish += pass(Phase::kDecode, batch, d.padded_prompt + round);
+      }
+    } else if (d.num_join > 0) {
+      // Mixed continuous round: the joining rows' ride-along prefill runs
+      // first (mirroring the SessionExecutor's prefill-then-decode call
+      // order), then the continuing rows decode one token each.
+      r.prefill_end_s =
+          t + straggle + pass(Phase::kPrefill, d.num_join, d.padded_prompt);
+      finish = r.prefill_end_s +
+               pass(Phase::kDecode, batch - d.num_join, d.max_context);
+    } else {
+      finish = t + straggle + pass(Phase::kDecode, batch, d.max_context);
+    }
+    r.end_s = finish;
+    r.dispatch_s = finish - t;
+    return r;
+  }
+
+  void replan(const HealthVerdict& verdict, ReplanEvent& ev) override {
+    ev.delta = replanner_->propose(plan_, verdict);
+    ev.applied = ev.delta.kind != PlanDeltaKind::kNone;
+    if (ev.applied) plan_ = Replanner::apply(plan_, ev.delta);
+  }
+
+  const ExecutionPlan& plan() const { return plan_; }
+  int fault_events() const { return fault_events_; }
+
+ private:
+  const ModelSpec& model_;
+  const ClusterSpec& cluster_;
+  const OnlineSimOptions& options_;
+  /// Local lottery, so concurrent sims never share state.
+  FaultLottery lottery_;
+  const bool faults_armed_;
+  ExecutionPlan plan_;  ///< the working plan replan() mutates
+  std::optional<Replanner> replanner_;
+  int fault_events_ = 0;
+};
+
 }  // namespace
 
 OnlineSimResult simulate_online(const ModelSpec& model,
@@ -194,9 +305,10 @@ OnlineSimResult simulate_online(const ModelSpec& model,
     }
   }
 
-  // Same decision logic as the runtime back-end (serve/online_engine.cpp);
-  // only the cost of each dispatched pass differs — here it comes from the
-  // roofline ground truth instead of a wall clock.
+  // Same driver and decision logic as the runtime back-end
+  // (serve/online_engine.cpp); only the cost of each dispatched pass
+  // differs — here it comes from the roofline ground truth instead of a
+  // wall clock.
   ServeScheduler scheduler(options);
   // Simulated serving lifecycles land on the sim pid, so a sim run and a
   // runtime run of the same trace are distinct tracks in one trace file.
@@ -213,139 +325,13 @@ OnlineSimResult simulate_online(const ModelSpec& model,
   }
   scheduler.close();
 
-  // Virtual-clock mirror of the runtime fault injector (same plan format;
-  // local lottery, so concurrent sims never share state). One "sim.dispatch"
-  // draw per decision: a delay rule makes the dispatch a straggler, any
-  // other kind fails it and exercises the retry/backoff/kFailed machinery.
-  FaultLottery lottery(faults);
-  const bool faults_armed = !faults.empty();
-
-  // Control-loop mirror: the plan evolves inside the run exactly like the
-  // runtime's MigrationController plan does, and the same HealthMonitor /
-  // Replanner pair makes the decisions — only the sample's clock differs.
-  ExecutionPlan cur_plan = plan;
-  std::optional<HealthMonitor> monitor;
-  std::optional<Replanner> replanner;
-  if (replan != nullptr) {
-    monitor.emplace(replan->health);
-    replanner.emplace(*replan->cost, replan->indicator, replan->theta);
-  }
-
-  double t = 0.0;
-  for (;;) {
-    SchedulerAction a = scheduler.next(t);
-    if (a.kind == SchedulerAction::Kind::kDone) break;
-    if (a.kind == SchedulerAction::Kind::kWait) {
-      check_arg(std::isfinite(a.wait_until),
-                "simulate_online: scheduler blocked on a closed stream");
-      t = std::max(t, a.wait_until);
-      continue;
-    }
-    const DispatchDecision d = std::move(a.decision);
-    const int batch = static_cast<int>(d.request_ids.size());
-    std::vector<double> stage_busy(
-        static_cast<std::size_t>(cur_plan.num_stages()), 0.0);
-    double straggle = 0.0;
-    bool dispatch_failed = false;
-    if (faults_armed) {
-      const FaultAction fa = lottery.check("sim.dispatch");
-      if (fa.kind != FaultKind::kNone) ++result.fault_events;
-      if (fa.kind == FaultKind::kDelay) {
-        straggle = fa.delay_s;
-      } else if (fa.kind != FaultKind::kNone) {
-        scheduler.fail(d, t);
-        continue;
-      }
-      // Per-stage serving sites, one draw per decision per plan stage —
-      // the cadence the runtime serving loop uses. A delay/slow firing is
-      // charged per layer of the stage, so a migration that moves layers
-      // off the straggler shrinks the drag on the virtual clock; any
-      // other kind fails the dispatch (and, like the runtime, stops
-      // evaluating later stages' sites for this attempt).
-      for (int p = 0; p < cur_plan.num_stages(); ++p) {
-        const FaultAction sa =
-            lottery.check(("serve.stage." + std::to_string(p)).c_str());
-        if (sa.kind == FaultKind::kNone) continue;
-        ++result.fault_events;
-        if (sa.kind == FaultKind::kDelay || sa.kind == FaultKind::kSlow) {
-          const double drag = sa.delay_s * cur_plan.stage_size(p);
-          straggle += drag;
-          stage_busy[static_cast<std::size_t>(p)] += drag;
-        } else if (sa.kind != FaultKind::kDrop) {
-          scheduler.fail(d, t);
-          dispatch_failed = true;
-          break;
-        }
-      }
-      if (dispatch_failed) continue;
-    }
-    double finish;
-    double prefill_end = -1.0;
-    if (d.phase == ServePhase::kPrefillPass) {
-      prefill_end = t + straggle +
-                    pass_time(model, cluster, cur_plan, Phase::kPrefill,
-                              batch, d.padded_prompt, &stage_busy);
-      finish = prefill_end;
-      if (options.policy == SchedulerPolicy::kStaticBatching) {
-        // Static batching runs the whole padded generation as one unit;
-        // the batch stays intact until its longest request finishes.
-        for (int round = 1; round < d.padded_gen; ++round)
-          finish += pass_time(model, cluster, cur_plan, Phase::kDecode,
-                              batch, d.padded_prompt + round, &stage_busy);
-      }
-    } else if (options.exec == DecodeExec::kReplay) {
-      // Replay decode re-runs every active context for one token, so the
-      // round costs a prefill-shaped pass over the padded context — the
-      // cost model the session path is benchmarked against.
-      finish = t + straggle +
-               pass_time(model, cluster, cur_plan, Phase::kPrefill, batch,
-                         d.max_context, &stage_busy);
-    } else if (options.exec == DecodeExec::kContinuous && d.num_join > 0) {
-      // Mixed continuous round: the joining rows' ride-along prefill runs
-      // first (mirroring the SessionExecutor's prefill-then-decode call
-      // order), then the continuing rows decode one token each.
-      prefill_end = t + straggle +
-                    pass_time(model, cluster, cur_plan, Phase::kPrefill,
-                              d.num_join, d.padded_prompt, &stage_busy);
-      finish = prefill_end +
-               pass_time(model, cluster, cur_plan, Phase::kDecode,
-                         batch - d.num_join, d.max_context, &stage_busy);
-    } else {
-      finish = t + straggle +
-               pass_time(model, cluster, cur_plan, Phase::kDecode, batch,
-                         d.max_context, &stage_busy);
-    }
-    scheduler.complete(d, finish, prefill_end);
-    // Health sample + re-plan decision, mirroring ControlLoop::
-    // after_dispatch in serve/online_engine.cpp field for field. An
-    // applied delta mutates the working plan; the next decision runs on
-    // it (the runtime swaps engines at the same point).
-    if (monitor) {
-      HealthSample sample;
-      sample.seq = d.seq;
-      sample.dispatch_s = finish - t;
-      sample.stage_busy_s = stage_busy;
-      sample.queue_depth = scheduler.pending();
-      sample.preemptions = scheduler.preemptions();
-      sample.mem_faults = 0;  // the sim has no allocator to fault
-      const HealthVerdict verdict = monitor->observe(sample);
-      if (!verdict.healthy()) {
-        ReplanEvent ev;
-        ev.at_seq = verdict.at_seq;
-        ev.status = verdict.status;
-        ev.bottleneck_stage = verdict.bottleneck_stage;
-        ev.severity = verdict.severity;
-        ev.delta = replanner->propose(cur_plan, verdict);
-        ev.applied = ev.delta.kind != PlanDeltaKind::kNone;
-        if (ev.applied) {
-          cur_plan = Replanner::apply(cur_plan, ev.delta);
-          ++result.migrations;
-        }
-        result.replans.push_back(ev);
-      }
-    }
-    t = finish;
-  }
+  ModelExecutor exec(model, cluster, plan, options, faults, replan);
+  std::optional<HealthMonitorOptions> health;
+  if (replan != nullptr) health = replan->health;
+  ServeDriver driver(scheduler, health, replan != nullptr);
+  VirtualClock clock;
+  driver.run(clock, exec);
+  const double t = clock.now();
 
   // Served requests only: a run that times half its requests out must not
   // report them as throughput (mirrors the runtime report).
@@ -365,6 +351,7 @@ OnlineSimResult simulate_online(const ModelSpec& model,
   result.rejected = oc.rejected;
   result.failed = oc.failed;
   result.retries = oc.retries;
+  result.fault_events = exec.fault_events();
   result.ok = true;
   result.completed = completed;
   result.makespan_s = t;
@@ -382,7 +369,9 @@ OnlineSimResult simulate_online(const ModelSpec& model,
   result.tenants = scheduler.tenant_summaries();
   result.requests = scheduler.finished();
   result.decisions = scheduler.decision_log();
-  result.final_plan = cur_plan;
+  result.replans = driver.replans();
+  result.migrations = driver.migrations();
+  result.final_plan = exec.plan();
   return result;
 }
 

@@ -17,12 +17,12 @@ namespace llmpq {
 /// offline task, but the discussion sketches applying its plans to
 /// ORCA/vLLM-style online serving, where requests arrive unpredictably
 /// with varying prompt and generation lengths. This module provides a
-/// ShareGPT-shaped request generator and the *simulator back-end* for the
-/// shared serving scheduler (`serve/scheduler.hpp`): the same policy code
-/// that drives the real `PipelineEngine` in `serve/online_engine.cpp` is
-/// driven here with analytic roofline pass times, so the two back-ends
-/// make identical admission/batching decisions on identical traces (the
-/// sim-vs-runtime parity test asserts exactly that).
+/// ShareGPT-shaped request generator and the *simulator back-end* of the
+/// shared serving driver (`serve/serve_driver.hpp`): the same loop and
+/// policy code that drive the real `PipelineEngine` in
+/// `serve/online_engine.cpp` run here with analytic roofline pass times,
+/// so the two back-ends make identical admission/batching decisions on
+/// identical traces (the sim-vs-runtime parity test asserts exactly that).
 
 struct OnlineRequest {
   double arrival_s = 0.0;
@@ -63,14 +63,14 @@ double fraction_below(const std::vector<OnlineRequest>& reqs, int threshold);
 /// the simulator keeps its historical option-struct name.
 using OnlineSimOptions = SchedulerOptions;
 
-/// Virtual-clock mirror of the runtime control loop (DESIGN.md "Online
-/// control loop & elastic migration"): when passed to simulate_online the
-/// simulator feeds the same HealthMonitor one sample per dispatched
-/// decision (dispatch cost + per-stage busy breakdown from the roofline
-/// model) and applies the Replanner's single-move repairs to its working
-/// copy of the plan. With identical traces, fault plans, and health
-/// options, the sim's ReplanEvent log matches the runtime's event for
-/// event (ReplanEvent::same_decision) — the extended parity key.
+/// Arms the serving driver's control loop in the simulator (DESIGN.md
+/// "Online control loop & elastic migration"): one HealthMonitor sample
+/// per dispatched decision (dispatch cost + per-stage busy breakdown from
+/// the roofline model), with the Replanner's single-move repairs applied
+/// to the simulator's working copy of the plan. With identical traces,
+/// fault plans, and health options, the sim's ReplanEvent log matches the
+/// runtime's event for event (ReplanEvent::same_decision) — the extended
+/// parity key.
 struct OnlineReplanOptions {
   /// Health-monitor knobs; defaults are the parity-tested configuration.
   HealthMonitorOptions health;
@@ -106,8 +106,8 @@ struct OnlineSimResult {
   /// Joins admitted by the continuous-mode starvation bound.
   int forced_joins = 0;
 
-  // ---- Control-loop mirror (populated when OnlineReplanOptions is
-  // passed). `replans` joins `decisions` in the sim-vs-runtime parity
+  // ---- Control loop (populated when OnlineReplanOptions is passed).
+  // `replans` joins `decisions` in the sim-vs-runtime parity
   // contract: same compared fields as OnlineReport::replans. The sim has
   // no engine to swap, so an "applied" event means the working plan copy
   // changed; `final_plan` is that copy after the run.
@@ -140,7 +140,7 @@ struct OnlineSimResult {
 /// faults) runs are bit-identical — chaos tests sweep seeds on top of
 /// this determinism.
 ///
-/// `replan`, when non-null, arms the control-loop mirror (see
+/// `replan`, when non-null, arms the control loop (see
 /// OnlineReplanOptions); the plan evolves inside the run and the result
 /// carries the decision log plus the final plan.
 OnlineSimResult simulate_online(const ModelSpec& model,

@@ -426,6 +426,9 @@ TEST_F(MigrationTest, IncompatibleDegradeEngineIsATerminalServingError) {
     EXPECT_NE(std::string(e.what()).find("incompatible"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("vocab"), std::string::npos);
   }
+  // The terminal error must not strand the run's sessions (and their KV
+  // pages) on the caller's engine.
+  for (int sid = 1; sid <= 3; ++sid) EXPECT_FALSE(engine_.has_session(sid));
 }
 
 // ---------------------------------------------------------------------------

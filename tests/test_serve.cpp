@@ -265,11 +265,9 @@ class OnlineEngineTest : public ::testing::Test {
   PipelineEngine engine_;
 };
 
-TEST_F(OnlineEngineTest, ReplayDecodeMatchesReferenceGreedy) {
-  // With uniform prompt lengths nothing is padded, so both policies and
-  // both execution modes must reproduce the single-threaded reference
-  // generation token for token — session mode via step-level decode,
-  // replay mode via its full-context re-runs.
+TEST_F(OnlineEngineTest, SessionDecodeMatchesReferenceGreedy) {
+  // Both policies must reproduce the single-threaded reference generation
+  // token for token through step-level session decode.
   Rng rng(3);
   std::vector<std::vector<TokenId>> prompts;
   std::vector<OnlineTraceRequest> trace;
@@ -283,19 +281,16 @@ TEST_F(OnlineEngineTest, ReplayDecodeMatchesReferenceGreedy) {
   const auto reference = reference_generate(weights_, prompts, 5);
   for (SchedulerPolicy policy : {SchedulerPolicy::kStaticBatching,
                                  SchedulerPolicy::kIterationLevel}) {
-    for (DecodeExec exec : {DecodeExec::kSession, DecodeExec::kReplay}) {
-      OnlineEngineOptions opt;
-      opt.scheduler.policy = policy;
-      opt.scheduler.exec = exec;
-      opt.scheduler.batch_size = 3;
-      opt.scheduler.max_batch = 3;
-      const OnlineReport rep = serve_trace(engine_, trace, opt);
-      EXPECT_EQ(rep.completed, 3);
-      ASSERT_EQ(rep.generated.size(), 3u);
-      for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(rep.generated[i], reference[i])
-            << scheduler_policy_name(policy) << " request " << i;
-    }
+    OnlineEngineOptions opt;
+    opt.scheduler.policy = policy;
+    opt.scheduler.batch_size = 3;
+    opt.scheduler.max_batch = 3;
+    const OnlineReport rep = serve_trace(engine_, trace, opt);
+    EXPECT_EQ(rep.completed, 3);
+    ASSERT_EQ(rep.generated.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i)
+      EXPECT_EQ(rep.generated[i], reference[i])
+          << scheduler_policy_name(policy) << " request " << i;
   }
 }
 
