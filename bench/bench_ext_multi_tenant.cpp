@@ -6,7 +6,7 @@
 //   interactive  weight 4, tight SLO     — chat-style traffic
 //   standard     weight 2, moderate SLO  — API traffic
 //   batch        weight 1, loose SLO     — offline jobs, served on the
-//                degraded-bit class-1 engine variant in the live leg
+//                uniform 4-bit class-1 engine variant in the live leg
 //
 // Leg 1 (gated): the deterministic virtual-clock simulator serves a
 // trace-driven tenant workload (hw/trace.hpp utilization modulates the
@@ -19,7 +19,7 @@
 //
 // Leg 2 (reported, not gated — wall clock): the same tenant mix served
 // live through OnlineEngine on a tiny real pipeline, with the batch
-// tenant's class routed to a DegradeLadder engine variant
+// tenant's class routed to a uniform 4-bit build of the same model
 // (OnlineEngineOptions::class_engine). Skipped with --live 0, which is
 // how the baseline is generated.
 //
@@ -43,7 +43,6 @@
 #include "core/assigner.hpp"
 #include "quant/quality.hpp"
 #include "runtime/transformer.hpp"
-#include "serve/degrade.hpp"
 #include "serve/online_engine.hpp"
 #include "sim/online_sim.hpp"
 
@@ -67,7 +66,7 @@ std::vector<TenantSpec> tenant_mix() {
   batch.name = "batch";
   batch.weight = 1.0;
   batch.slo_s = 900.0;
-  batch.default_class = 1;  // live leg: degraded-bit engine variant
+  batch.default_class = 1;  // live leg: 4-bit engine variant
   return {interactive, standard, batch};
 }
 
@@ -340,11 +339,13 @@ int main(int argc, char** argv) {
     const std::vector<int> bits(static_cast<std::size_t>(spec.layers), 8);
     ModelWeights weights = build_random_model(spec, bits, 2024);
     PipelineEngine engine(weights, stages, 2, 2);
-    // Class 1 (the batch tenant) executes on the first degradation rung —
-    // the adaptive-quantization story applied per request class.
-    DegradeLadder ladder(
-        spec, stages, 2024,
-        default_degrade_ladder(bits, QuantFormat::kPerChannel, 2, 2));
+    // Class 1 (the batch tenant) executes on a uniform 4-bit build of the
+    // same model (same seed, same stages and micro-batches) — the
+    // adaptive-quantization story applied per request class.
+    const ModelWeights weights4 = build_random_model(
+        spec, std::vector<int>(static_cast<std::size_t>(spec.layers), 4),
+        2024);
+    PipelineEngine engine4(weights4, stages, 2, 2);
 
     OnlineEngineOptions eopt;
     eopt.scheduler.policy = SchedulerPolicy::kIterationLevel;
@@ -354,8 +355,8 @@ int main(int argc, char** argv) {
     eopt.scheduler.kv_pages = 256;
     eopt.scheduler.tenants = tenants;
     eopt.scheduler.record_decisions = false;
-    eopt.class_engine = [&ladder](int cls) {
-      return ladder.engine_for_level(cls);
+    eopt.class_engine = [&engine4](int cls) {
+      return cls == 1 ? &engine4 : nullptr;
     };
 
     OnlineEngine server(engine, eopt);
@@ -375,7 +376,7 @@ int main(int argc, char** argv) {
     server.close();
     const OnlineReport rep = server.wait();
     std::printf("live leg: %d requests through OnlineEngine "
-                "(class 1 -> degraded-bit variant): completed %d, "
+                "(class 1 -> 4-bit variant): completed %d, "
                 "preemptions %d, makespan %.2fs\n\n",
                 live, rep.completed, rep.preemptions, rep.makespan_s);
 

@@ -12,8 +12,8 @@
 //
 // Pass --faults PLAN.json to arm the process-wide fault injector with a
 // chaos plan (see common/fault.hpp for the JSON shape) and watch the
-// serving stack retry, restart and degrade its way through it; the report
-// then includes the outcome/recovery counters. --deadline-s, --capacity
+// serving stack retry and restart its way through it; the report then
+// includes the outcome/recovery counters. --deadline-s, --capacity
 // and --max-retries expose the matching scheduler fault policy.
 //
 // Pass --metrics-out PATH (and optionally --metrics-interval-s N, default
@@ -34,7 +34,7 @@
 // stage live — mid-trace, bit-exactly.
 #include <cstdio>
 #include <fstream>
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -45,7 +45,6 @@
 #include "cost/cost_provider.hpp"
 #include "hw/cluster.hpp"
 #include "runtime/weights.hpp"
-#include "serve/degrade.hpp"
 #include "serve/migration.hpp"
 #include "serve/online_engine.hpp"
 #include "serve/replanner.hpp"
@@ -85,12 +84,12 @@ void print_report(const char* title, const llmpq::OnlineReport& rep) {
                 "via re-prefill\n",
                 rep.preemptions);
   if (rep.timed_out || rep.rejected || rep.failed || rep.retries ||
-      rep.engine_restarts || rep.degrades || rep.mem_faults)
+      rep.engine_restarts || rep.mem_faults)
     std::printf(
         "  faults: %d timed out, %d rejected, %d failed, %d retries, "
-        "%d engine restarts, %d degrades, %d mem faults\n",
+        "%d engine restarts, %d mem faults\n",
         rep.timed_out, rep.rejected, rep.failed, rep.retries,
-        rep.engine_restarts, rep.degrades, rep.mem_faults);
+        rep.engine_restarts, rep.mem_faults);
   for (const llmpq::ReplanEvent& ev : rep.replans)
     std::printf("  replan @seq %d: %s on stage %d -> %s%s\n", ev.at_seq,
                 llmpq::health_status_name(ev.status), ev.bottleneck_stage,
@@ -239,18 +238,19 @@ int main(int argc, char** argv) {
       fair.scheduler.tenants.push_back(ts);
     }
 
-    std::unique_ptr<DegradeLadder> ladder;
+    // The class-1 variant: the same seed requantized to uniform B bits,
+    // on the base engine's stages and micro-batches.
+    std::optional<ModelWeights> variant_weights;
+    std::optional<PipelineEngine> variant;
     if (class_bits > 0) {
-      DegradeStep rung;
-      rung.layer_bits.assign(static_cast<std::size_t>(spec.layers),
-                             class_bits);
-      rung.prefill_micro_batch = 2;
-      rung.decode_micro_batch = 2;
-      ladder = std::make_unique<DegradeLadder>(
-          spec, std::vector<std::pair<int, int>>{{0, 3}, {3, 6}}, 2024,
-          std::vector<DegradeStep>{rung});
-      fair.class_engine = [l = ladder.get()](int cls) {
-        return l->engine_for_level(cls);
+      variant_weights = build_random_model(
+          spec,
+          std::vector<int>(static_cast<std::size_t>(spec.layers), class_bits),
+          2024);
+      variant.emplace(*variant_weights,
+                      std::vector<std::pair<int, int>>{{0, 3}, {3, 6}}, 2, 2);
+      fair.class_engine = [e = &*variant](int cls) {
+        return cls == 1 ? e : nullptr;
       };
     }
 

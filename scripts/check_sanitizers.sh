@@ -7,8 +7,10 @@
 # thread), session (step-level decode over the paged KV cache), continuous
 # (in-flight batching with KV preemption), fault (chaos suite: injected
 # faults through the threaded engine and serving loop), replan (live
-# migration: engine swaps under injected stragglers) and trace
-# (multi-threaded span recording) — under each.
+# migration: engine swaps under injected stragglers), tenant (fair-share
+# scheduling through the serving stack), trace (multi-threaded span
+# recording) and the online_serve example's smoke run (matched by the
+# "serve" pattern) — under each.
 # Run from the repo root:
 #
 #   scripts/check_sanitizers.sh [extra ctest -R pattern]
@@ -29,7 +31,7 @@ for mode in address thread; do
     --target llmpq_tests_common llmpq_tests_core llmpq_tests_quant \
              llmpq_tests_runtime llmpq_tests_serve llmpq_tests_session \
              llmpq_tests_continuous llmpq_tests_fault llmpq_tests_replan \
-             llmpq_tests_trace
+             llmpq_tests_tenant llmpq_tests_trace online_serve
   (cd "${build}" && ctest -R "${pattern}" --output-on-failure)
   # Sweep the quant suite across every kernel dispatch level: the SIMD
   # dequant-GEMM paths (unaligned word reads over packed rows, per-group

@@ -37,7 +37,7 @@ namespace llmpq {
 ///   stage.qgemm     quantized GEMM entry (throw/delay inside a stage pass)
 ///   engine.embed    master-side embedding, per micro-batch push
 ///   engine.kv_alloc KV-cache (re)allocation (alloc_fail => bad_alloc, the
-///                   memory-pressure signal the degradation ladder watches)
+///                   mem-fault count behind a kMemoryPressure re-plan)
 ///   engine.mailbox  inter-stage forward (drop => message vanishes; the
 ///                   master's deadline converts it into a restartable fault)
 ///   serve.dispatch  online serving loop, per scheduler decision

@@ -196,7 +196,7 @@ class PipelineEngine {
 
   /// The model the engine was built over (the shared weights' spec). Lets
   /// the serving loop validate a replacement engine — same vocab, same
-  /// layer count — before swapping it in during degrade or migration.
+  /// layer count — before swapping it in during a migration.
   const ModelSpec& spec() const;
 
   /// The constructor's stage ranges with empty stages filtered out —

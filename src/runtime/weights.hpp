@@ -55,8 +55,8 @@ LayerWeights quantize_layer(const ModelSpec& spec, const LayerMaster& master,
 /// Builds a complete model with random weights, quantized per
 /// `bits_per_layer` (size = spec.layers) in `format`. The master RNG
 /// stream is format-independent, so two builds with the same seed hold
-/// the same underlying weights requantized — what the serve degrade
-/// ladder relies on when it sheds group metadata under memory pressure.
+/// the same underlying weights requantized — what a bit-change migration
+/// (serve/migration.hpp) relies on to keep the model's identity.
 ModelWeights build_random_model(const ModelSpec& spec,
                                 const std::vector<int>& bits_per_layer,
                                 std::uint64_t seed,

@@ -5,6 +5,13 @@
 
 namespace llmpq {
 
+namespace {
+
+/// Smoothing for the exported dispatch and per-stage busy EWMAs.
+constexpr double kEwmaAlpha = 0.3;
+
+}  // namespace
+
 const char* health_status_name(HealthStatus status) {
   switch (status) {
     case HealthStatus::kHealthy:
@@ -27,15 +34,15 @@ HealthVerdict HealthMonitor::observe(const HealthSample& sample) {
   if (snap_.samples == 1) {
     snap_.dispatch_ewma_s = sample.dispatch_s;
   } else {
-    snap_.dispatch_ewma_s = opt_.ewma_alpha * sample.dispatch_s +
-                            (1.0 - opt_.ewma_alpha) * snap_.dispatch_ewma_s;
+    snap_.dispatch_ewma_s = kEwmaAlpha * sample.dispatch_s +
+                            (1.0 - kEwmaAlpha) * snap_.dispatch_ewma_s;
   }
   if (snap_.stage_busy_ewma_s.size() != sample.stage_busy_s.size())
     snap_.stage_busy_ewma_s.assign(sample.stage_busy_s.size(), 0.0);
   for (std::size_t p = 0; p < sample.stage_busy_s.size(); ++p)
     snap_.stage_busy_ewma_s[p] =
-        opt_.ewma_alpha * sample.stage_busy_s[p] +
-        (1.0 - opt_.ewma_alpha) * snap_.stage_busy_ewma_s[p];
+        kEwmaAlpha * sample.stage_busy_s[p] +
+        (1.0 - kEwmaAlpha) * snap_.stage_busy_ewma_s[p];
   snap_.queue_depth = sample.queue_depth;
   snap_.preemptions = sample.preemptions;
   snap_.mem_faults = sample.mem_faults;
@@ -87,18 +94,11 @@ HealthVerdict HealthMonitor::observe(const HealthSample& sample) {
 
   if (!verdict.healthy()) {
     ++snap_.verdicts;
-    snap_.last_status = verdict.status;
     cooldown_left_ = opt_.cooldown;
     streak_ = 0;
     mem_fault_mark_ = sample.mem_faults;
   }
   return verdict;
-}
-
-void HealthMonitor::reset_baseline() {
-  warmup_seen_ = 0;
-  snap_.baseline_s = 0.0;
-  streak_ = 0;
 }
 
 const char* plan_delta_kind_name(PlanDeltaKind kind) {

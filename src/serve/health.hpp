@@ -22,7 +22,11 @@ namespace llmpq {
 ///
 /// Flap control: a verdict needs `hysteresis` consecutive flagged samples,
 /// and after any verdict the monitor stays silent for `cooldown` samples so
-/// a repair has time to take effect before the loop re-evaluates.
+/// a repair has time to take effect before the loop re-evaluates. The
+/// baseline is learned once and kept across migrations: comparing against
+/// the healthy era lets a persisting bottleneck re-trip after the cooldown,
+/// so repairs iterate until the plan is healthy again instead of
+/// normalizing a still-degraded state.
 
 /// One per-dispatch observation. Counters are cumulative (the monitor
 /// diffs them internally where needed).
@@ -57,7 +61,6 @@ struct HealthVerdict {
 };
 
 struct HealthMonitorOptions {
-  double ewma_alpha = 0.3;      ///< smoothing for the exported EWMAs
   int warmup = 4;               ///< samples used to learn the baseline
   double straggler_ratio = 3.0; ///< flag when dispatch > ratio * baseline
   int hysteresis = 2;           ///< consecutive flags before a verdict
@@ -76,18 +79,10 @@ class HealthMonitor {
   /// overload.
   HealthVerdict observe(const HealthSample& sample);
 
-  /// Forgets the learned baseline (the next `warmup` samples re-learn it).
-  /// The control loop deliberately does NOT call this after a migration:
-  /// keeping the healthy-era baseline lets a persisting bottleneck re-trip
-  /// after the cooldown, so repairs iterate until the plan is healthy
-  /// again instead of normalizing a still-degraded state.
-  void reset_baseline();
-
   /// Everything the metrics exporter dumps (llmpq-metrics/v1).
   struct Snapshot {
     int samples = 0;
     int verdicts = 0;
-    HealthStatus last_status = HealthStatus::kHealthy;
     double baseline_s = 0.0;
     double dispatch_ewma_s = 0.0;
     std::vector<double> stage_busy_ewma_s;

@@ -21,10 +21,11 @@ namespace llmpq {
 ///       (boundary and batching moves change no tensor), so greedy output
 ///       is bit-identical across the swap — the chaos tests pin this.
 ///   kBitChange  the moved precision is requantized from the same weight
-///       seed (the DegradeLadder idiom: build_random_model draws master
-///       weights from a bits/format-independent stream, the same overlap
-///       path OtfQuantizer serves), so the model identity is preserved but
-///       logits are NOT bit-identical — precision changed by design.
+///       seed (build_random_model draws master weights from a
+///       bits/format-independent stream, the same overlap path
+///       OtfQuantizer serves), so the model identity is preserved but
+///       logits are NOT bit-identical — precision changed by design. This
+///       is how the serving loop answers memory pressure.
 ///
 /// The serving loop completes the migration: swapping engines releases
 /// every live session (KvCacheManager::preempt semantics) and the next

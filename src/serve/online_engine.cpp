@@ -69,16 +69,15 @@ std::vector<double> check_serve_stage_sites(int num_stages) {
 /// idempotent: the decision's per-request `contexts` say exactly how far
 /// each session should be, so a row whose session already advanced past a
 /// half-failed round reuses its sampled token instead of advancing twice,
-/// and a row whose session is gone (degrade step swapped the engine) is
-/// rebuilt from its full context — prefilling that context yields exactly
-/// the round's greedy token.
+/// and a row whose session is gone (a restart or a migration dropped it)
+/// is rebuilt from its full context — prefilling that context yields
+/// exactly the round's greedy token.
 class SessionExecutor {
  public:
   /// Per-class engine routing (OnlineEngineOptions::class_engine): rows
   /// whose decision class is > 0 execute on the router's variant; class 0
   /// (and a nullptr from the router) stays on the base engine. Variants
-  /// must be address-stable for the executor's lifetime (the degrade
-  /// ladder's lazily-built engines are).
+  /// must be address-stable for the executor's lifetime.
   explicit SessionExecutor(std::function<PipelineEngine*(int)> router)
       : router_(std::move(router)) {}
   ~SessionExecutor() { release_all(); }
@@ -162,7 +161,7 @@ class SessionExecutor {
           (!it->second.eng->has_session(it->second.sid) ||
            it->second.eng != eng)) {
         // Lost to a restart, or the row's class routes elsewhere now (a
-        // degrade swap rebound the base): drop and rebuild below.
+        // migration rebound the base): drop and rebuild below.
         if (it->second.eng->has_session(it->second.sid))
           it->second.eng->end_session(it->second.sid);
         sessions_.erase(it);
@@ -280,8 +279,8 @@ std::string describe_exception(const std::exception_ptr& err) {
 /// The real-engine executor shared by the live loop and trace replay:
 /// prepare() snapshots the request tables under the lock, execute() runs
 /// the SessionExecutor (iteration-level) or ephemeral static sessions with
-/// the lock released, recover() restarts or degrades a failed engine, and
-/// replan() migrates onto the hook's validated replacement engine.
+/// the lock released, recover() restarts a broken engine, and replan() —
+/// the only engine swap — migrates onto the hook's validated replacement.
 /// Sessions are released when the executor dies, so no exit path strands
 /// them on the caller's engine.
 class EngineExecutor final : public ServeExecutor {
@@ -395,38 +394,14 @@ class EngineExecutor final : public ServeExecutor {
     }
   }
 
-  /// Counts memory faults, steps down the degradation ladder after
-  /// repeated ones, and restarts a broken engine within the restart
-  /// budget. A degrade step swaps the engine, and the rebind drops sessions
-  /// whose KV lives on the old one. An exhausted budget rethrows the
-  /// dispatch error; an incompatible degrade engine throws Error.
+  /// Counts memory faults (the health sample turns repeated ones into a
+  /// kMemoryPressure verdict for replan()) and restarts a broken engine
+  /// within the restart budget. An exhausted budget rethrows the dispatch
+  /// error.
   void recover() override {
     if (mem_fault_) {
-      ++mem_faults_;
       ++total_mem_faults_;
       TRACE_INSTANT("serve", "mem-fault");
-      if (options_.degrade &&
-          mem_faults_ >= options_.degrade_after_mem_faults) {
-        if (PipelineEngine* next = options_.degrade(++degrade_level_)) {
-          // Don't trust the hook: a replacement serving a different model
-          // would silently corrupt every in-flight request. Mismatches are
-          // terminal — there is no safe engine to fall back to.
-          const std::string mismatch =
-              validate_replacement_engine(*engine_, *next);
-          if (!mismatch.empty())
-            throw Error(
-                "OnlineEngineOptions::degrade returned an incompatible "
-                "engine at level " +
-                std::to_string(degrade_level_) + ": " + mismatch);
-          // Step down the ladder (lower bitwidth / smaller micro-batch)
-          // and give the cheaper engine a fresh fault budget.
-          engine_ = next;
-          sessions_.bind(next);
-          ++degrades_;
-          mem_faults_ = 0;
-          TRACE_INSTANT("serve", "degrade");
-        }
-      }
     }
     if (!engine_->healthy()) {
       if (engine_restarts_ >= options_.max_engine_restarts)
@@ -443,7 +418,9 @@ class EngineExecutor final : public ServeExecutor {
 
   int mem_faults() const override { return total_mem_faults_; }
 
-  /// A validated migration swaps the engine live. The rebind releases
+  /// A validated migration swaps the engine live. Don't trust the hook: a
+  /// replacement serving a different model would silently corrupt every
+  /// in-flight request, so a mismatch is terminal. The rebind releases
   /// every KV page on the old engine; the next decision rebuilds each
   /// request from its authoritative context via re-prefill, which under
   /// greedy sampling resumes it exactly.
@@ -512,7 +489,6 @@ class EngineExecutor final : public ServeExecutor {
     OnlineReport rep;
     rep.makespan_s = makespan_s;
     rep.engine_restarts = engine_restarts_;
-    rep.degrades = degrades_;
     rep.mem_faults = total_mem_faults_;
     rep.replans = driver.replans();
     rep.migrations = driver.migrations();
@@ -523,7 +499,7 @@ class EngineExecutor final : public ServeExecutor {
   const OnlineEngineOptions& options_;
   const Prompts& prompts_;
   Generated& generated_;
-  PipelineEngine* engine_;  ///< base engine; degrade and replan swap it
+  PipelineEngine* engine_;  ///< base engine; only replan() swaps it
   GenerateOptions gopts_;
   SessionExecutor sessions_;
   DecisionInputs inputs_;                  ///< the decision in flight
@@ -531,10 +507,7 @@ class EngineExecutor final : public ServeExecutor {
   bool mem_fault_ = false;                 ///< the last failure's kind
   std::exception_ptr error_;               ///< and the failure itself
   int engine_restarts_ = 0;
-  int degrades_ = 0;
-  int mem_faults_ = 0;  ///< since the last degrade step
   int total_mem_faults_ = 0;
-  int degrade_level_ = 0;
 };
 
 /// Completes a run's totals() with the scheduler's records, the

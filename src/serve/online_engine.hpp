@@ -68,18 +68,6 @@ struct OnlineEngineOptions {
   /// Engine restarts allowed before the loop gives up and surfaces the
   /// last failure through wait().
   int max_engine_restarts = 8;
-  /// Memory faults (std::bad_alloc from a dispatch) tolerated before the
-  /// degrade hook is consulted.
-  int degrade_after_mem_faults = 2;
-  /// Graceful-degradation ladder: called with level 1, 2, ... after
-  /// repeated memory faults; returns a replacement engine built from a
-  /// cheaper plan (next-lower bitwidth, halved micro-batch) or nullptr
-  /// when out of options. The caller retains ownership and must keep the
-  /// replacement alive until wait() returns. The returned engine is
-  /// validated before the swap (same vocab and layer count, healthy) —
-  /// see validate_replacement_engine; a mismatch is a terminal serving
-  /// error, not a silent swap.
-  std::function<PipelineEngine*(int level)> degrade;
 
   // ---- Online control loop (DESIGN.md "Online control loop & elastic
   // migration"). Off unless `replan` is set; `health` then tunes the
@@ -89,10 +77,15 @@ struct OnlineEngineOptions {
   /// cooldown). Defaults are the parity-tested configuration.
   HealthMonitorOptions health;
   /// Re-plan hook, consulted on every non-healthy verdict: returns the
-  /// PlanDelta it decided on and, when it applied the delta, a validated
+  /// PlanDelta it decided on and, when it applied the delta, a
   /// replacement engine the loop migrates onto live (sessions are
   /// released and rebuilt by re-prefill on the new engine — bit-exact
-  /// under greedy sampling for bit-preserving deltas). The caller retains
+  /// under greedy sampling for bit-preserving deltas). This is the only
+  /// engine swap: repeated memory faults surface as a kMemoryPressure
+  /// verdict, which the Replanner answers by lowering one layer's bits.
+  /// The replacement is validated before the swap (same vocab and layer
+  /// count, healthy) — see validate_replacement_engine; a mismatch is a
+  /// terminal serving error, not a silent swap. The caller retains
   /// engine ownership; MigrationController::hook is the canonical
   /// implementation.
   std::function<ReplanOutcome(const HealthVerdict&)> replan;
@@ -108,19 +101,20 @@ struct OnlineEngineOptions {
   /// Per-class engine routing (multi-tenant request classes): rows whose
   /// DispatchDecision::classes entry is > 0 execute on
   /// `class_engine(cls)` instead of the base engine — the adaptive-
-  /// quantization story applied per request class, with
-  /// DegradeLadder::engine_for_level as the canonical variant source
-  /// (stable addresses, caller-owned). Returning nullptr falls back to
-  /// the base engine. Routing never changes *which* rows are batched
-  /// (scheduling stays class-blind beyond the stamp), so sim-vs-runtime
-  /// decision parity is unaffected; only execution placement moves.
+  /// quantization story applied per request class, e.g. a uniform
+  /// lower-bit build of the same model (build_random_model from the same
+  /// seed). Variants are caller-owned and must keep stable addresses
+  /// until the run ends. Returning nullptr falls back to the base engine.
+  /// Routing never changes *which* rows are batched (scheduling stays
+  /// class-blind beyond the stamp), so sim-vs-runtime decision parity is
+  /// unaffected; only execution placement moves.
   std::function<PipelineEngine*(int cls)> class_engine;
 };
 
 /// Compatibility check for a replacement engine before the serving loop
-/// swaps it in (degrade and replan paths both run it): same vocabulary,
-/// same total layer count, and healthy. Returns an empty string when
-/// compatible, else a human-readable mismatch description.
+/// swaps it in on a re-plan: same vocabulary, same total layer count, and
+/// healthy. Returns an empty string when compatible, else a
+/// human-readable mismatch description.
 std::string validate_replacement_engine(const PipelineEngine& current,
                                         const PipelineEngine& next);
 
@@ -160,7 +154,6 @@ struct OnlineReport {
   int failed = 0;           ///< exhausted max_retries
   int retries = 0;          ///< total dispatch retries consumed
   int engine_restarts = 0;  ///< PipelineEngine::restart() invocations
-  int degrades = 0;         ///< degradation-ladder steps taken
   int mem_faults = 0;       ///< std::bad_alloc dispatches observed
   int preemptions = 0;      ///< capacity-planner evictions (kContinuous)
   int forced_joins = 0;     ///< starvation-bound admissions (kContinuous)

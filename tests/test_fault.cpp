@@ -22,7 +22,6 @@
 #include "model/model_spec.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/transformer.hpp"
-#include "serve/degrade.hpp"
 #include "serve/online_engine.hpp"
 #include "sim/online_sim.hpp"
 #include "sim/pipeline_sim.hpp"
@@ -720,133 +719,6 @@ TEST_F(ServeFaultTest, DispatchFaultRetriedToCompletion) {
   EXPECT_EQ(rep.failed, 0);
   EXPECT_GE(rep.retries, 1);
   EXPECT_EQ(rep.engine_restarts, 0);  // the engine itself never faulted
-}
-
-TEST_F(ServeFaultTest, MemFaultsWalkTheDegradationLadder) {
-  FaultPlan plan;
-  plan.rules.push_back(
-      rule("engine.kv_alloc", FaultKind::kAllocFail, 1.0, 2));
-  // The replacement engine models the next rung down the ladder: same
-  // weights, halved micro-batches (a lower-bitwidth plan works the same
-  // way — any cheaper engine the caller can build).
-  PipelineEngine fallback(weights_, {{0, 3}, {3, 6}}, 1, 1);
-  OnlineEngineOptions opt;
-  opt.scheduler.policy = SchedulerPolicy::kIterationLevel;
-  opt.scheduler.max_retries = 4;
-  opt.scheduler.retry_backoff_s = 0.001;
-  opt.degrade_after_mem_faults = 2;
-  opt.degrade = [&](int level) -> PipelineEngine* {
-    return level == 1 ? &fallback : nullptr;
-  };
-  ArmedPlan armed(plan);
-  const OnlineReport rep = serve_trace(engine_, burst_trace(3, 3), opt);
-  EXPECT_EQ(rep.completed, 3);
-  EXPECT_EQ(rep.mem_faults, 2);
-  EXPECT_EQ(rep.degrades, 1);
-  EXPECT_GE(rep.retries, 1);
-}
-
-TEST(DegradeLadderTest, DefaultLadderShedsMetadataThenBitsThenMicrobatch) {
-  const std::vector<int> bits = {8, 8, 4, 4, 16, 3};
-  const auto steps =
-      default_degrade_ladder(bits, QuantFormat::kGroup32, 2, 2);
-  ASSERT_EQ(steps.size(), 5u);
-  // Rung 1: group metadata gone, everything else untouched.
-  EXPECT_EQ(steps[0].layer_bits, bits);
-  EXPECT_EQ(steps[0].format, QuantFormat::kPerChannel);
-  EXPECT_EQ(steps[0].prefill_micro_batch, 2);
-  // Rungs 2-4: uniform bit descent toward the 3-bit floor.
-  EXPECT_EQ(steps[1].layer_bits, (std::vector<int>{4, 4, 3, 3, 8, 3}));
-  EXPECT_EQ(steps[2].layer_bits, (std::vector<int>{3, 3, 3, 3, 4, 3}));
-  EXPECT_EQ(steps[3].layer_bits, (std::vector<int>{3, 3, 3, 3, 3, 3}));
-  // Final rung: weights can shrink no further, halve the micro-batches.
-  EXPECT_EQ(steps[4].layer_bits, steps[3].layer_bits);
-  EXPECT_EQ(steps[4].prefill_micro_batch, 1);
-  EXPECT_EQ(steps[4].decode_micro_batch, 1);
-  // Already-per-channel start skips the metadata rung.
-  EXPECT_EQ(default_degrade_ladder(bits, QuantFormat::kPerChannel, 1, 1)
-                .size(),
-            3u);
-}
-
-TEST(DegradeLadderTest, EveryRungIsMonotonicallyCheaper) {
-  // Level monotonicity: walking the ladder must never raise any layer's
-  // bitwidth or grow a micro-batch — each rung strictly sheds something.
-  const std::vector<int> bits = {16, 8, 4, 3, 8, 16};
-  const auto steps = default_degrade_ladder(bits, QuantFormat::kGroup32, 4, 2);
-  ASSERT_FALSE(steps.empty());
-  std::vector<int> prev_bits = bits;
-  int prev_pre = 4, prev_dec = 2;
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    ASSERT_EQ(steps[i].layer_bits.size(), bits.size()) << "rung " << i;
-    bool shed_something = steps[i].format != QuantFormat::kGroup32 && i == 0;
-    for (std::size_t l = 0; l < bits.size(); ++l) {
-      EXPECT_LE(steps[i].layer_bits[l], prev_bits[l])
-          << "rung " << i << " raised layer " << l;
-      shed_something |= steps[i].layer_bits[l] < prev_bits[l];
-    }
-    EXPECT_LE(steps[i].prefill_micro_batch, prev_pre) << "rung " << i;
-    EXPECT_LE(steps[i].decode_micro_batch, prev_dec) << "rung " << i;
-    shed_something |= steps[i].prefill_micro_batch < prev_pre ||
-                      steps[i].decode_micro_batch < prev_dec;
-    EXPECT_TRUE(shed_something) << "rung " << i << " changed nothing";
-    prev_bits = steps[i].layer_bits;
-    prev_pre = steps[i].prefill_micro_batch;
-    prev_dec = steps[i].decode_micro_batch;
-  }
-  // An already-minimal start (3-bit, per-channel, micro-batch 1) has no
-  // rungs at all: the hook exhausts immediately.
-  EXPECT_TRUE(default_degrade_ladder(std::vector<int>(6, 3),
-                                     QuantFormat::kPerChannel, 1, 1)
-                  .empty());
-}
-
-TEST(DegradeLadderTest, LazilyBuildsStableEnginesAndExhausts) {
-  const ModelSpec spec = tiny_spec();
-  const std::vector<int> bits(static_cast<std::size_t>(spec.layers), 8);
-  DegradeLadder ladder(spec, {{0, 3}, {3, 6}}, 2024,
-                       default_degrade_ladder(bits, QuantFormat::kGroup64,
-                                              2, 2));
-  PipelineEngine* l1 = ladder.engine_for_level(1);
-  ASSERT_NE(l1, nullptr);
-  EXPECT_EQ(ladder.engine_for_level(1), l1);  // built once, stable address
-  // Every rung serves the same masters requantized: level 1 (8-bit
-  // per-channel) generates exactly what a directly-built per-channel
-  // model does under the ladder's seed.
-  Rng rng(3);
-  std::vector<std::vector<TokenId>> prompts = {make_prompt(rng, spec, 8)};
-  const ModelWeights direct = build_random_model(spec, bits, 2024);
-  EXPECT_EQ(l1->generate(prompts, 4), reference_generate(direct, prompts, 4));
-  EXPECT_NE(ladder.engine_for_level(
-                static_cast<int>(ladder.steps().size())),
-            nullptr);
-  EXPECT_EQ(ladder.engine_for_level(
-                static_cast<int>(ladder.steps().size()) + 1),
-            nullptr);
-  EXPECT_EQ(ladder.engine_for_level(0), nullptr);
-}
-
-TEST_F(ServeFaultTest, LadderBackedDegradeServesThroughMemPressure) {
-  // End-to-end: repeated KV allocation faults push the serving loop onto
-  // the ladder's first rung, and the trace still completes.
-  FaultPlan plan;
-  plan.rules.push_back(
-      rule("engine.kv_alloc", FaultKind::kAllocFail, 1.0, 2));
-  const std::vector<int> bits(static_cast<std::size_t>(spec_.layers), 8);
-  DegradeLadder ladder(spec_, {{0, 3}, {3, 6}}, 2024,
-                       default_degrade_ladder(bits, QuantFormat::kGroup32,
-                                              2, 2));
-  OnlineEngineOptions opt;
-  opt.scheduler.policy = SchedulerPolicy::kIterationLevel;
-  opt.scheduler.max_retries = 4;
-  opt.scheduler.retry_backoff_s = 0.001;
-  opt.degrade_after_mem_faults = 2;
-  opt.degrade = ladder.hook();
-  ArmedPlan armed(plan);
-  const OnlineReport rep = serve_trace(engine_, burst_trace(3, 3), opt);
-  EXPECT_EQ(rep.completed, 3);
-  EXPECT_EQ(rep.mem_faults, 2);
-  EXPECT_EQ(rep.degrades, 1);
 }
 
 /// Seed list for the chaos sweep. The default keeps the tier-1 run fast;

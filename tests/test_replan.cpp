@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -367,8 +368,54 @@ TEST_F(MigrationTest, HookProposesAppliesAndAdvancesThePlan) {
   EXPECT_EQ(idle.delta.kind, PlanDeltaKind::kNone);
 }
 
+/// Two allocation faults on the dispatches right after the health warmup:
+/// the next completed dispatch trips a kMemoryPressure verdict.
+FaultPlan late_mem_faults() {
+  FaultPlan plan;
+  FaultRule alloc = rule("serve.dispatch", FaultKind::kAllocFail, 1.0, 2);
+  alloc.after = 6;  // past the health warmup
+  plan.rules.push_back(alloc);
+  return plan;
+}
+
+TEST_F(MigrationTest, MemFaultsReplanOntoLowerBits) {
+  // Repeated allocation faults trip a kMemoryPressure verdict; the
+  // Replanner answers with a one-layer bit step-down and the loop migrates
+  // onto the rebuilt engine live.
+  ReplanSetup s;
+  MigrationController ctl(weights_, s.plan, 2024);
+  OnlineEngineOptions opt;
+  opt.scheduler.policy = SchedulerPolicy::kIterationLevel;
+  opt.scheduler.max_retries = 4;
+  opt.scheduler.retry_backoff_s = 0.001;
+  opt.health.straggler_ratio = 1e9;  // only memory pressure can trip
+  opt.replan = ctl.hook(s.replanner);
+
+  std::vector<OnlineTraceRequest> trace(prompts_.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].prompt = prompts_[i];
+    trace[i].gen_tokens = 16;
+  }
+  OnlineReport rep;
+  {
+    ArmedPlan armed(late_mem_faults());
+    rep = serve_trace(engine_, trace, opt);
+  }
+  EXPECT_EQ(rep.completed, 4);
+  EXPECT_EQ(rep.mem_faults, 2);
+  ASSERT_EQ(rep.replans.size(), 1u);
+  EXPECT_EQ(rep.replans[0].status, HealthStatus::kMemoryPressure);
+  EXPECT_EQ(rep.replans[0].delta.kind, PlanDeltaKind::kBitChange);
+  EXPECT_TRUE(rep.replans[0].applied);
+  EXPECT_EQ(rep.migrations, 1);
+  EXPECT_EQ(std::count_if(ctl.plan().layer_bits.begin(),
+                          ctl.plan().layer_bits.end(),
+                          [](int b) { return b < 8; }),
+            1);
+}
+
 // ---------------------------------------------------------------------------
-// Replacement-engine validation (degrade and replan both gate on it).
+// Replacement-engine validation (every re-plan swap gates on it).
 // ---------------------------------------------------------------------------
 
 TEST_F(MigrationTest, ValidateReplacementEngineNamesTheMismatch) {
@@ -393,9 +440,10 @@ TEST_F(MigrationTest, ValidateReplacementEngineNamesTheMismatch) {
   EXPECT_TRUE(validate_replacement_engine(engine_, ok).empty());
 }
 
-TEST_F(MigrationTest, IncompatibleDegradeEngineIsATerminalServingError) {
-  // The degrade hook hands back an engine for a different model: the loop
-  // must surface a clear error instead of silently swapping it in.
+TEST_F(MigrationTest, IncompatibleReplanEngineIsATerminalServingError) {
+  // The replan hook answers the memory-pressure verdict with an engine for
+  // a different model: the loop must surface a clear error instead of
+  // silently swapping it in.
   ModelSpec other = spec_;
   other.vocab = 80;
   const ModelWeights other_weights = build_random_model(
@@ -403,25 +451,28 @@ TEST_F(MigrationTest, IncompatibleDegradeEngineIsATerminalServingError) {
       2024);
   PipelineEngine wrong(other_weights, {{0, 3}, {3, 6}}, 1, 1);
 
-  FaultPlan plan;
-  plan.rules.push_back(rule("engine.kv_alloc", FaultKind::kAllocFail, 1.0, 2));
   OnlineEngineOptions opt;
   opt.scheduler.policy = SchedulerPolicy::kIterationLevel;
   opt.scheduler.max_retries = 4;
   opt.scheduler.retry_backoff_s = 0.001;
-  opt.degrade_after_mem_faults = 2;
-  opt.degrade = [&](int) -> PipelineEngine* { return &wrong; };
+  opt.health.straggler_ratio = 1e9;  // only memory pressure can trip
+  opt.replan = [&](const HealthVerdict&) {
+    ReplanOutcome out;
+    out.delta.kind = PlanDeltaKind::kBitChange;
+    out.engine = &wrong;
+    return out;
+  };
 
   std::vector<OnlineTraceRequest> trace(3);
   Rng rng(11);
   for (auto& t : trace) {
     t.prompt = make_prompt(rng, spec_, 8);
-    t.gen_tokens = 3;
+    t.gen_tokens = 16;  // enough dispatches to outlast the warmup
   }
-  ArmedPlan armed(plan);
+  ArmedPlan armed(late_mem_faults());
   try {
     serve_trace(engine_, trace, opt);
-    FAIL() << "expected Error for the incompatible degrade engine";
+    FAIL() << "expected Error for the incompatible replan engine";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("incompatible"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("vocab"), std::string::npos);
