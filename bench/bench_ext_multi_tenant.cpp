@@ -299,8 +299,12 @@ int main(int argc, char** argv) {
   sopt.tenants = tenants;
   // join_starvation_rounds stays auto (16 with tenants configured).
   // Scale levers for the nightly 10^6-request smoke: no decision log,
-  // bounded waiting-list scan. Both are decision-neutral at this batch
-  // size, so the CI-sized run and the scale run share one baseline shape.
+  // bounded waiting-list scan. Dropping the log never changes a decision.
+  // The 256-row scan is decision-neutral only while each tenant keeps
+  // min(its arrived rows, max_batch) inside the first 256 arrived rows (see
+  // SchedulerOptions::admit_scan_limit); a deeper single-tenant backlog
+  // would reorder admission, so the scale run is not guaranteed to share
+  // the CI-sized run's decisions.
   sopt.record_decisions = false;
   sopt.admit_scan_limit = 256;
 

@@ -15,7 +15,6 @@ class RunningStats {
   double mean() const { return mean_; }
   /// Population variance (n divisor); 0 for fewer than 2 samples.
   double variance() const;
-  double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
 

@@ -176,18 +176,6 @@ void TraceSession::instant(const char* category, const char* name) {
   inst.append(e);
 }
 
-void TraceSession::async_begin(const char* category, const char* name,
-                               std::uint64_t id, std::uint32_t pid) {
-  if (!enabled()) return;
-  emit_async('b', category, name, now_s(), id, pid);
-}
-
-void TraceSession::async_end(const char* category, const char* name,
-                             std::uint64_t id, std::uint32_t pid) {
-  if (!enabled()) return;
-  emit_async('e', category, name, now_s(), id, pid);
-}
-
 void TraceSession::emit_complete(const char* category, const char* name,
                                  double ts_s, double dur_s, std::uint32_t pid,
                                  std::uint32_t tid, const char* arg_name,
@@ -233,13 +221,6 @@ void TraceSession::set_track_name(std::uint32_t pid, std::uint32_t tid,
   State* s = state();
   std::lock_guard<std::mutex> lk(s->mu);
   s->track_names[{pid, tid}] = name;
-}
-
-void TraceSession::set_process_name(std::uint32_t pid,
-                                    const std::string& name) {
-  State* s = state();
-  std::lock_guard<std::mutex> lk(s->mu);
-  s->process_names[pid] = name;
 }
 
 std::uint64_t TraceSession::dropped() const {

@@ -82,10 +82,6 @@ class TraceSession {
   // no-ops (one relaxed load) when tracing is off.
   static void counter(const char* category, const char* name, double value);
   static void instant(const char* category, const char* name);
-  static void async_begin(const char* category, const char* name,
-                          std::uint64_t id, std::uint32_t pid);
-  static void async_end(const char* category, const char* name,
-                        std::uint64_t id, std::uint32_t pid);
 
   // ---- Explicit-timestamp recording (virtual clocks: simulator, serving
   // scheduler). `ts_s`/`dur_s` are seconds on the caller's clock; callers
@@ -106,10 +102,6 @@ class TraceSession {
   /// Names an explicit (pid, tid) track — used by virtual timelines.
   void set_track_name(std::uint32_t pid, std::uint32_t tid,
                       const std::string& name);
-
-  /// Names a pid row in the trace viewer. pids 0/1/2 are pre-named
-  /// runtime/sim/serve on start().
-  void set_process_name(std::uint32_t pid, const std::string& name);
 
   /// Events lost to ring-buffer wrap since start().
   std::uint64_t dropped() const;

@@ -70,11 +70,6 @@ double CostProvider::layer_time(int dev, int bits, Phase phase,
   return t;
 }
 
-std::size_t CostProvider::layer_time_cache_size() const {
-  std::shared_lock lock(cache_mu_);
-  return layer_time_cache_.size();
-}
-
 double CostProvider::layer_time_uncached(int dev, int bits, Phase phase,
                                          int micro_batch,
                                          int seq_or_ctx) const {

@@ -41,10 +41,6 @@ class CostProvider {
   double layer_time(int dev, int bits, Phase phase, int micro_batch,
                     int seq_or_ctx) const;
 
-  /// Cache observability for tests/benches: number of memoized layer-time
-  /// entries currently held.
-  std::size_t layer_time_cache_size() const;
-
   /// Predicted master-engine (embedding + LM head) time per micro-batch,
   /// charged to the first device.
   double embedding_time(int dev, int micro_batch, int tokens_per_seq) const;

@@ -36,11 +36,6 @@ void LatencyModel::fit(const std::vector<ProfileRecord>& records) {
   }
 }
 
-bool LatencyModel::has(const std::string& gpu_name, int bits,
-                       Phase phase) const {
-  return beta_.count(Key{gpu_name, bits, static_cast<int>(phase)}) > 0;
-}
-
 double LatencyModel::predict(const std::string& gpu_name, int bits,
                              Phase phase, int batch, int seq_or_ctx) const {
   const auto it = beta_.find(Key{gpu_name, bits, static_cast<int>(phase)});

@@ -23,8 +23,6 @@ class LatencyModel {
   /// be mixed; they are keyed by record.gpu_name.
   void fit(const std::vector<ProfileRecord>& records);
 
-  /// True if a fit exists for this (gpu, bits, phase).
-  bool has(const std::string& gpu_name, int bits, Phase phase) const;
 
   /// Predicted single-layer latency.
   double predict(const std::string& gpu_name, int bits, Phase phase,

@@ -521,10 +521,6 @@ int PipelineEngine::num_stages() const {
 
 const ModelSpec& PipelineEngine::spec() const { return impl_->weights.spec; }
 
-const std::vector<std::pair<int, int>>& PipelineEngine::stage_layers() const {
-  return impl_->stages;
-}
-
 EngineStats PipelineEngine::stats() const {
   const Impl& im = *impl_;
   EngineStats s;

@@ -199,10 +199,6 @@ class PipelineEngine {
   /// layer count — before swapping it in during a migration.
   const ModelSpec& spec() const;
 
-  /// The constructor's stage ranges with empty stages filtered out —
-  /// `stage_layers()[p]` is the [begin, end) layer range worker p runs.
-  const std::vector<std::pair<int, int>>& stage_layers() const;
-
   /// Cumulative runtime metrics since construction: per-stage busy/idle
   /// split, qgemm/attention breakdown, inbox high-water marks, and
   /// per-phase token throughput. Safe to call concurrently with generate().

@@ -449,14 +449,9 @@ class EngineExecutor final : public ServeExecutor {
     if (options_.metrics_out.empty()) return;
     const HealthMonitor::Snapshot snap = driver.monitor()->snapshot();
     MetricsRegistry reg;
-    std::vector<double> latencies;
-    for (const RequestStats& r : driver.scheduler().finished()) {
-      if (r.outcome != RequestOutcome::kCompleted) continue;
-      latencies.push_back(r.finish_s - r.arrival_s);
-    }
-    reg.set_latency("serve.request_latency",
-                    summarize_latency(std::move(latencies)));
-    const OutcomeCounts oc = driver.scheduler().outcomes();
+    const ServedSummary served = summarize_served(driver.scheduler(), 0.0);
+    reg.set_latency("serve.request_latency", served.latency);
+    const OutcomeCounts& oc = served.outcomes;
     reg.set_value("serve.requests.completed", oc.completed);
     reg.set_value("serve.requests.timed_out", oc.timed_out);
     reg.set_value("serve.requests.rejected", oc.rejected);
@@ -516,34 +511,19 @@ OnlineReport finish_report(OnlineReport rep, const ServeScheduler& scheduler,
                            const std::deque<std::vector<TokenId>>& generated) {
   rep.requests = scheduler.finished();
   rep.decisions = scheduler.decision_log();
-  // Throughput and the latency summaries cover served requests only —
-  // folding rejected/timed-out requests in would make a lossy run look
-  // faster, not slower.
-  std::int64_t tokens_out = 0;
-  std::vector<double> latencies, queue_delays, prefills;
-  for (const RequestStats& r : rep.requests) {
-    if (r.outcome != RequestOutcome::kCompleted) continue;
-    ++rep.completed;
-    tokens_out += r.gen_tokens;
-    latencies.push_back(r.finish_s - r.arrival_s);
-    queue_delays.push_back(r.queue_delay_s);
-    prefills.push_back(r.prefill_s);
-  }
+  const ServedSummary served = summarize_served(scheduler, rep.makespan_s);
+  rep.completed = served.completed;
+  rep.throughput_tokens_per_s = served.throughput_tokens_per_s;
+  rep.latency = served.latency;
+  rep.queue_delay = served.queue_delay;
+  rep.prefill = served.prefill;
+  rep.timed_out = served.outcomes.timed_out;
+  rep.rejected = served.outcomes.rejected;
+  rep.failed = served.outcomes.failed;
+  rep.retries = served.outcomes.retries;
   rep.preemptions = scheduler.preemptions();
   rep.forced_joins = scheduler.forced_joins();
   rep.tenants = scheduler.tenant_summaries();
-  const OutcomeCounts oc = scheduler.outcomes();
-  rep.timed_out = oc.timed_out;
-  rep.rejected = oc.rejected;
-  rep.failed = oc.failed;
-  rep.retries = oc.retries;
-  rep.throughput_tokens_per_s =
-      rep.makespan_s > 0.0
-          ? static_cast<double>(tokens_out) / rep.makespan_s
-          : 0.0;
-  rep.latency = summarize_latency(std::move(latencies));
-  rep.queue_delay = summarize_latency(std::move(queue_delays));
-  rep.prefill = summarize_latency(std::move(prefills));
   rep.generated.assign(generated.begin(), generated.end());
   return rep;
 }

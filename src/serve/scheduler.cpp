@@ -11,6 +11,66 @@ namespace llmpq {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// What admitting a fresh request charges its tenant's fair-share account:
+/// its whole prompt + gen, up front.
+double fresh_cost(const ServeRequest& r) {
+  return static_cast<double>(r.prompt_len + r.gen_tokens);
+}
+
+/// Weighted-fair interleave of `count` rows: repeatedly the next FIFO row
+/// of the tenant whose virtual-service account in `eff` is smallest (ties
+/// break toward the lower spec index, so the order is deterministic), that
+/// account advanced locally by the row's cost / weight — one tenant cannot
+/// take every slot from its own backlog while cheaper tenants wait. Emits
+/// at most `limit` rows; `tenant_of` maps a row to its spec index.
+template <class TenantOf, class CostOf, class Emit>
+void fair_interleave(std::vector<double>& eff,
+                     const std::vector<TenantSpec>& tenants,
+                     std::size_t count, std::size_t limit, TenantOf tenant_of,
+                     CostOf cost_of, Emit emit) {
+  std::vector<std::vector<std::size_t>> per_tenant(eff.size());
+  for (std::size_t i = 0; i < count; ++i)
+    per_tenant[static_cast<std::size_t>(tenant_of(i))].push_back(i);
+  std::vector<std::size_t> cursor(eff.size(), 0);
+  for (std::size_t k = 0; k < limit; ++k) {
+    int best = -1;
+    for (std::size_t t = 0; t < eff.size(); ++t) {
+      if (cursor[t] >= per_tenant[t].size()) continue;
+      if (best < 0 || eff[t] < eff[static_cast<std::size_t>(best)])
+        best = static_cast<int>(t);
+    }
+    if (best < 0) break;
+    const std::size_t bt = static_cast<std::size_t>(best);
+    const std::size_t idx = per_tenant[bt][cursor[bt]++];
+    emit(idx);
+    eff[bt] += cost_of(idx) / tenants[bt].weight;
+  }
+}
+
+/// Erases the entries at `idx` (any order) from `dq`.
+template <class Deque>
+void erase_at(Deque& dq, std::vector<std::size_t> idx) {
+  std::sort(idx.begin(), idx.end(), std::greater<std::size_t>());
+  for (const std::size_t i : idx)
+    dq.erase(dq.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+/// A request's record as of `admit_s` (admission, or the moment an
+/// unserved request finishes).
+RequestStats stats_for(const ServeRequest& r, double admit_s, int retries) {
+  RequestStats rs;
+  rs.id = r.id;
+  rs.arrival_s = r.arrival_s;
+  rs.admit_s = admit_s;
+  rs.queue_delay_s = std::max(0.0, admit_s - r.arrival_s);
+  rs.prompt_len = r.prompt_len;
+  rs.gen_tokens = r.gen_tokens;
+  rs.tenant = r.tenant_id;
+  rs.req_class = r.req_class;
+  rs.retries = retries;
+  return rs;
+}
 }  // namespace
 
 const char* scheduler_policy_name(SchedulerPolicy policy) {
@@ -136,11 +196,6 @@ int ServeScheduler::tenant_idx(int tenant_id) const {
   return it == tenant_index_.end() ? -1 : it->second;
 }
 
-double ServeScheduler::weight_of(int tenant_id) const {
-  const int ti = tenant_idx(tenant_id);
-  return ti < 0 ? 1.0 : options_.tenants[static_cast<std::size_t>(ti)].weight;
-}
-
 double ServeScheduler::deadline_for(int tenant_id) const {
   const int ti = tenant_idx(tenant_id);
   const double tenant_deadline =
@@ -153,7 +208,8 @@ void ServeScheduler::charge_service(int tenant_id, double tokens) {
   if (service_.empty()) return;
   const int ti = tenant_idx(tenant_id);
   if (ti >= 0)
-    service_[static_cast<std::size_t>(ti)] += tokens / weight_of(tenant_id);
+    service_[static_cast<std::size_t>(ti)] +=
+        tokens / options_.tenants[static_cast<std::size_t>(ti)].weight;
 }
 
 void ServeScheduler::clamp_idle_service() {
@@ -178,33 +234,65 @@ void ServeScheduler::clamp_idle_service() {
     if (!holds[i]) service_[i] = std::max(service_[i], floor);
 }
 
-void ServeScheduler::record_decision(const DispatchDecision& d) {
-  in_flight_ = true;
-  in_flight_seq_ = d.seq;
-  if (options_.record_decisions) decision_log_.push_back(d);
+
+RequestStats& ServeScheduler::open_record(int id) {
+  const auto it = open_.find(id);
+  check_arg(it != open_.end(), "ServeScheduler: unknown request id");
+  return it->second;
 }
 
-void ServeScheduler::finish_unserved(const ServeRequest& r,
-                                     RequestOutcome outcome, double finish_s,
-                                     int retries) {
-  RequestStats rs;
-  rs.id = r.id;
-  rs.arrival_s = r.arrival_s;
-  rs.admit_s = finish_s;
+ServeScheduler::ActiveReq ServeScheduler::admit(const QueuedReq& q,
+                                                double now) {
+  const ServeRequest& r = q.req;
+  // Admission is *now* — queue delay must not include the prefill pass the
+  // back-end is about to run (the old simulator's conflation bug).
+  open_.emplace(r.id, stats_for(r, now, q.attempts));
+  // Retries re-admit work that was already charged at first admission.
+  if (q.attempts == 0) charge_service(r.tenant_id, fresh_cost(r));
+  ActiveReq jr;
+  jr.id = r.id;
+  jr.context = r.prompt_len;
+  jr.remaining = r.gen_tokens;
+  jr.retries = q.attempts;
+  jr.tenant = r.tenant_id;
+  jr.cls = r.req_class;
+  return jr;
+}
+
+void ServeScheduler::finish(RequestStats rs, RequestOutcome outcome,
+                            double finish_s) {
   rs.finish_s = finish_s;
-  rs.queue_delay_s = std::max(0.0, finish_s - r.arrival_s);
-  rs.prompt_len = r.prompt_len;
-  rs.gen_tokens = r.gen_tokens;
-  rs.tenant = r.tenant_id;
-  rs.req_class = r.req_class;
   rs.outcome = outcome;
+  if (trace_ && TraceSession::enabled()) {
+    if (outcome == RequestOutcome::kCompleted)
+      trace_request_lifecycle(rs);
+    else
+      TraceSession::emit_complete("serve", request_outcome_name(outcome),
+                                  finish_s + trace_offset_s_, /*dur_s=*/0.0,
+                                  trace_pid_, /*tid=*/0, "id",
+                                  static_cast<double>(rs.id));
+  }
+  finished_.push_back(std::move(rs));
+}
+
+void ServeScheduler::retire(const ActiveReq& r, RequestOutcome outcome,
+                            double finish_s, int retries) {
+  const auto it = open_.find(r.id);
+  check_arg(it != open_.end(), "ServeScheduler: unknown request id");
+  RequestStats rs = std::move(it->second);
+  open_.erase(it);
+  // A row finishing while parked for resume spent the whole parked
+  // interval waiting — the resume-wait account must see it or waits would
+  // not sum to wall time.
+  rs.resume_wait_s += r.parked_for(finish_s);
   rs.retries = retries;
-  finished_.push_back(rs);
-  if (trace_ && TraceSession::enabled())
-    TraceSession::emit_complete("serve", request_outcome_name(outcome),
-                                finish_s + trace_offset_s_, /*dur_s=*/0.0,
-                                trace_pid_, /*tid=*/0, "id",
-                                static_cast<double>(r.id));
+  finish(std::move(rs), outcome, finish_s);
+}
+
+bool ServeScheduler::charge_retry(ActiveReq& r, int& max_attempt) const {
+  if (++r.retries > options_.max_retries) return true;
+  max_attempt = std::max(max_attempt, r.retries);
+  return false;
 }
 
 void ServeScheduler::process_arrivals(double now) {
@@ -225,8 +313,8 @@ void ServeScheduler::process_arrivals(double now) {
       const double expiry =
           it->req.arrival_s + deadline_for(it->req.tenant_id);
       if (expiry <= now) {
-        finish_unserved(it->req, RequestOutcome::kTimedOut, expiry,
-                        it->attempts);
+        finish(stats_for(it->req, expiry, it->attempts),
+               RequestOutcome::kTimedOut, expiry);
         it = queue_.erase(it);
       } else {
         ++it;
@@ -263,8 +351,8 @@ void ServeScheduler::process_arrivals(double now) {
           tenant_cap > 0 &&
           tenant_waiting[static_cast<std::size_t>(ti)] >= tenant_cap;
       if (global_full || tenant_full) {
-        finish_unserved(it->req, RequestOutcome::kRejected,
-                        it->req.arrival_s, 0);
+        finish(stats_for(it->req, it->req.arrival_s, 0),
+               RequestOutcome::kRejected, it->req.arrival_s);
         it = queue_.erase(it);
       } else {
         it->admitted = true;
@@ -278,30 +366,19 @@ void ServeScheduler::process_arrivals(double now) {
 
 void ServeScheduler::expire_active(double now) {
   if (options_.deadline_s == kInf && !tenant_deadlines_) return;
-  const auto expire = [&](auto& set, bool parked) {
+  // Parked rows too: a preempted sequence's deadline keeps running.
+  const auto expire = [&](auto& set) {
     for (auto it = set.begin(); it != set.end();) {
-      auto sit = open_.find(it->id);
-      check_arg(sit != open_.end(), "ServeScheduler: unknown active id");
-      if (sit->second.arrival_s + deadline_for(it->tenant) <= now) {
-        RequestStats rs = sit->second;
-        // A sequence expiring while parked for resume spent the whole
-        // parked interval waiting — the resume-wait account must see it
-        // or waits would not sum to wall time.
-        if (parked && it->parked_at >= 0.0)
-          rs.resume_wait_s += std::max(0.0, now - it->parked_at);
-        rs.finish_s = now;
-        rs.outcome = RequestOutcome::kTimedOut;
-        rs.retries = it->retries;
-        finished_.push_back(rs);
-        open_.erase(sit);
+      if (open_record(it->id).arrival_s + deadline_for(it->tenant) <= now) {
+        retire(*it, RequestOutcome::kTimedOut, now, it->retries);
         it = set.erase(it);
       } else {
         ++it;
       }
     }
   };
-  expire(active_, /*parked=*/false);
-  expire(resume_, /*parked=*/true);  // preempted deadlines keep running
+  expire(active_);
+  expire(resume_);
 }
 
 void ServeScheduler::fold_expiry_wakeups(SchedulerAction& a) const {
@@ -311,18 +388,62 @@ void ServeScheduler::fold_expiry_wakeups(SchedulerAction& a) const {
   for (const QueuedReq& e : queue_)
     a.wait_until = std::min(
         a.wait_until, e.req.arrival_s + deadline_for(e.req.tenant_id));
+  const auto fold = [&](const auto& set) {
+    for (const ActiveReq& r : set) {
+      const auto it = open_.find(r.id);
+      if (it != open_.end())
+        a.wait_until = std::min(
+            a.wait_until, it->second.arrival_s + deadline_for(r.tenant));
+    }
+  };
+  fold(active_);
+  fold(resume_);
+}
+
+void ServeScheduler::emit_running(DispatchDecision& d) const {
+  d.request_ids.reserve(active_.size());
+  d.contexts.reserve(active_.size());
   for (const ActiveReq& r : active_) {
-    const auto it = open_.find(r.id);
-    if (it != open_.end())
-      a.wait_until = std::min(
-          a.wait_until, it->second.arrival_s + deadline_for(r.tenant));
+    d.request_ids.push_back(r.id);
+    d.contexts.push_back(r.context);
+    d.tenants.push_back(r.tenant);
+    d.classes.push_back(r.cls);
+    d.max_context = std::max(d.max_context, r.context);
   }
-  for (const ActiveReq& r : resume_) {
-    const auto it = open_.find(r.id);
-    if (it != open_.end())
-      a.wait_until = std::min(
-          a.wait_until, it->second.arrival_s + deadline_for(r.tenant));
+}
+
+void ServeScheduler::emit_join(DispatchDecision& d, const ActiveReq& r) {
+  d.request_ids.push_back(r.id);
+  d.contexts.push_back(r.context);
+  d.tenants.push_back(r.tenant);
+  d.classes.push_back(r.cls);
+  d.padded_prompt = std::max(d.padded_prompt, r.context);
+  joining_.push_back(r);
+}
+
+SchedulerAction ServeScheduler::dispatch(DispatchDecision d, double now) {
+  dispatch_now_ = now;
+  in_flight_ = true;
+  in_flight_seq_ = d.seq;
+  if (options_.record_decisions) decision_log_.push_back(d);
+  SchedulerAction a;
+  a.kind = SchedulerAction::Kind::kDispatch;
+  a.decision = std::move(d);
+  return a;
+}
+
+SchedulerAction ServeScheduler::wait_or_done() const {
+  SchedulerAction a;
+  if (!queue_.empty()) {  // every queued request is still in the future
+    a.kind = SchedulerAction::Kind::kWait;
+    a.wait_until = queue_.front().eligible_s;
+  } else if (!closed_) {  // live stream: block until submit()/close()
+    a.kind = SchedulerAction::Kind::kWait;
+    a.wait_until = kInf;
+  } else {
+    a.kind = SchedulerAction::Kind::kDone;
   }
+  return a;
 }
 
 DispatchDecision ServeScheduler::make_prefill_decision(double now, int take) {
@@ -330,10 +451,8 @@ DispatchDecision ServeScheduler::make_prefill_decision(double now, int take) {
   d.seq = next_seq_++;
   d.phase = ServePhase::kPrefillPass;
   // Which arrived entries join: the queue head `take` times in legacy
-  // mode; with tenants, a weighted-fair interleave — repeatedly the next
-  // FIFO request of the tenant with the smallest virtual-service account,
-  // the account locally advanced per pick so one tenant cannot fill the
-  // batch from its own backlog while cheaper tenants wait.
+  // mode; with tenants, the weighted-fair interleave, so one tenant cannot
+  // fill the batch from its own backlog while cheaper tenants wait.
   std::vector<std::size_t> picks;
   picks.reserve(static_cast<std::size_t>(take));
   if (service_.empty()) {
@@ -341,64 +460,20 @@ DispatchDecision ServeScheduler::make_prefill_decision(double now, int take) {
       picks.push_back(static_cast<std::size_t>(i));
   } else {
     clamp_idle_service();
-    const auto arrived = static_cast<std::size_t>(arrived_count(now));
-    std::vector<std::vector<std::size_t>> per_tenant(service_.size());
-    for (std::size_t i = 0; i < arrived; ++i) {
-      const int ti = tenant_idx(queue_[i].req.tenant_id);
-      per_tenant[static_cast<std::size_t>(ti)].push_back(i);
-    }
     std::vector<double> eff = service_;
-    std::vector<std::size_t> cursor(service_.size(), 0);
-    for (int k = 0; k < take; ++k) {
-      int best = -1;
-      for (std::size_t t = 0; t < eff.size(); ++t) {
-        if (cursor[t] >= per_tenant[t].size()) continue;
-        if (best < 0 || eff[t] < eff[static_cast<std::size_t>(best)])
-          best = static_cast<int>(t);
-      }
-      check_arg(best >= 0, "ServeScheduler: fair pick ran out of arrivals");
-      const std::size_t bt = static_cast<std::size_t>(best);
-      const std::size_t idx = per_tenant[bt][cursor[bt]++];
-      picks.push_back(idx);
-      const ServeRequest& r = queue_[idx].req;
-      eff[bt] += static_cast<double>(r.prompt_len + r.gen_tokens) /
-                 weight_of(r.tenant_id);
-    }
+    fair_interleave(
+        eff, options_.tenants, static_cast<std::size_t>(arrived_count(now)),
+        static_cast<std::size_t>(take),
+        [&](std::size_t i) { return tenant_idx(queue_[i].req.tenant_id); },
+        [&](std::size_t i) { return fresh_cost(queue_[i].req); },
+        [&](std::size_t i) { picks.push_back(i); });
   }
-  d.request_ids.reserve(picks.size());
   for (const std::size_t idx : picks) {
-    const QueuedReq& q = queue_[idx];
-    const ServeRequest& r = q.req;
-    d.request_ids.push_back(r.id);
-    d.contexts.push_back(r.prompt_len);
-    d.tenants.push_back(r.tenant_id);
-    d.classes.push_back(r.req_class);
-    d.padded_prompt = std::max(d.padded_prompt, r.prompt_len);
-    d.padded_gen = std::max(d.padded_gen, r.gen_tokens);
-    // Admission is *now* — queue delay must not include the prefill pass
-    // the back-end is about to run (the old simulator's conflation bug).
-    RequestStats rs;
-    rs.id = r.id;
-    rs.arrival_s = r.arrival_s;
-    rs.admit_s = now;
-    rs.queue_delay_s = std::max(0.0, now - r.arrival_s);
-    rs.prompt_len = r.prompt_len;
-    rs.gen_tokens = r.gen_tokens;
-    rs.tenant = r.tenant_id;
-    rs.req_class = r.req_class;
-    rs.retries = q.attempts;
-    open_.emplace(r.id, rs);
-    // Retries re-admit work that was already charged at first admission.
-    if (q.attempts == 0)
-      charge_service(r.tenant_id,
-                     static_cast<double>(r.prompt_len + r.gen_tokens));
+    const ActiveReq jr = admit(queue_[idx], now);
+    d.padded_gen = std::max(d.padded_gen, jr.remaining);
+    emit_join(d, jr);
   }
-  std::vector<std::size_t> doomed = picks;
-  std::sort(doomed.begin(), doomed.end(), std::greater<std::size_t>());
-  for (const std::size_t idx : doomed)
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
-  dispatch_now_ = now;
-  record_decision(d);
+  erase_at(queue_, std::move(picks));
   return d;
 }
 
@@ -415,7 +490,6 @@ void ServeScheduler::enable_trace(std::uint32_t pid, double clock_offset_s) {
 /// is a rendering of RequestStats, so sim and runtime lifecycles are
 /// directly overlayable.
 void ServeScheduler::trace_request_lifecycle(const RequestStats& rs) const {
-  if (!trace_ || !TraceSession::enabled()) return;
   const double off = trace_offset_s_;
   const auto id = static_cast<std::uint64_t>(rs.id);
   TraceSession::emit_async('b', "request", "queue", rs.arrival_s + off, id,
@@ -465,33 +539,20 @@ SchedulerAction ServeScheduler::next(double now) {
 }
 
 SchedulerAction ServeScheduler::next_static(double now) {
-  SchedulerAction a;
   const int effective = std::min(options_.batch_size, options_.max_batch);
   const int arrived = arrived_count(now);
-  if (arrived == 0) {
-    if (!queue_.empty()) {  // all queued arrivals are in the future
-      a.kind = SchedulerAction::Kind::kWait;
-      a.wait_until = queue_.front().eligible_s;
-    } else if (!closed_) {  // live stream: block until submit()/close()
-      a.kind = SchedulerAction::Kind::kWait;
-      a.wait_until = kInf;
-    } else {
-      a.kind = SchedulerAction::Kind::kDone;
-    }
-    return a;
-  }
+  if (arrived == 0) return wait_or_done();
   const double stale_deadline =
       queue_.front().req.arrival_s + options_.max_wait_s;
-  if (arrived >= effective || now >= stale_deadline) {
-    a.kind = SchedulerAction::Kind::kDispatch;
-    a.decision = make_prefill_decision(now, std::min(arrived, effective));
-    return a;
-  }
+  if (arrived >= effective || now >= stale_deadline)
+    return dispatch(make_prefill_decision(now, std::min(arrived, effective)),
+                    now);
   // Not full, not stale: wait for whichever comes first — the next queued
   // arrival or the oldest request going stale. The old simulator waited
   // only for the next arrival, so a tail request with no successor (or a
   // distant one) waited unboundedly instead of dispatching at
   // `arrival + max_wait_s`.
+  SchedulerAction a;
   a.kind = SchedulerAction::Kind::kWait;
   a.wait_until = stale_deadline;
   if (arrived < static_cast<int>(queue_.size()))
@@ -501,123 +562,66 @@ SchedulerAction ServeScheduler::next_static(double now) {
 }
 
 SchedulerAction ServeScheduler::next_iteration(double now) {
-  SchedulerAction a;
   const int capacity = options_.max_batch - static_cast<int>(active_.size());
   const int arrived = arrived_count(now);
-  if (arrived > 0 && capacity > 0) {
-    a.kind = SchedulerAction::Kind::kDispatch;
-    a.decision = make_prefill_decision(now, std::min(arrived, capacity));
-    return a;
-  }
-  if (!active_.empty()) {
-    DispatchDecision d;
-    d.seq = next_seq_++;
-    d.phase = ServePhase::kDecodePass;
-    d.request_ids.reserve(active_.size());
-    d.contexts.reserve(active_.size());
-    for (const ActiveReq& r : active_) {
-      d.request_ids.push_back(r.id);
-      d.contexts.push_back(r.context);
-      d.tenants.push_back(r.tenant);
-      d.classes.push_back(r.cls);
-      d.max_context = std::max(d.max_context, r.context);
-    }
-    dispatch_now_ = now;
-    record_decision(d);
-    a.kind = SchedulerAction::Kind::kDispatch;
-    a.decision = std::move(d);
-    return a;
-  }
-  if (!queue_.empty()) {
-    a.kind = SchedulerAction::Kind::kWait;
-    a.wait_until = queue_.front().eligible_s;
-  } else if (!closed_) {
-    a.kind = SchedulerAction::Kind::kWait;
-    a.wait_until = kInf;
-  } else {
-    a.kind = SchedulerAction::Kind::kDone;
-  }
-  return a;
+  if (arrived > 0 && capacity > 0)
+    return dispatch(make_prefill_decision(now, std::min(arrived, capacity)),
+                    now);
+  if (active_.empty()) return wait_or_done();
+  DispatchDecision d;
+  d.seq = next_seq_++;
+  d.phase = ServePhase::kDecodePass;
+  emit_running(d);
+  return dispatch(std::move(d), now);
 }
 
 std::vector<ServeScheduler::WaitRef> ServeScheduler::order_waiting(
     double now) {
-  std::vector<WaitRef> order;
   const std::size_t scan_cap =
       options_.admit_scan_limit > 0
           ? static_cast<std::size_t>(options_.admit_scan_limit)
           : std::numeric_limits<std::size_t>::max();
-  // Legacy (no tenants): preempted sequences resume first (they hold
-  // generated tokens the system already paid for), then arrived fresh
-  // requests in queue order — the historical waiting order, bit-for-bit.
-  if (service_.empty()) {
-    order.reserve(resume_.size());
-    for (std::size_t i = 0; i < resume_.size(); ++i)
-      order.push_back(WaitRef{resume_[i].id, true, i});
-    for (std::size_t i = 0; i < queue_.size() && i < scan_cap; ++i) {
-      if (queue_[i].eligible_s > now) break;  // sorted: rest are future
-      order.push_back(WaitRef{queue_[i].req.id, false, i});
-    }
-    return order;
-  }
-  // Tenant mode: same two bands (resumes still outrank fresh arrivals),
-  // but within each band tenants interleave by ascending virtual-service
-  // account — repeatedly the next FIFO row of the cheapest tenant, the
-  // account locally advanced by what admitting that row would cost (a
-  // resume re-feeds its context; a fresh join is charged its whole
-  // prompt + gen up front, matching charge_service at admission). Ties
-  // break toward the lower spec index, so the order is deterministic.
-  clamp_idle_service();
-  std::vector<double> eff = service_;
-  const auto interleave = [&](auto count, auto tenant_of, auto cost_of,
-                              auto push) {
-    std::vector<std::vector<std::size_t>> per_tenant(eff.size());
-    for (std::size_t i = 0; i < count(); ++i) {
-      const int ti = tenant_of(i);
-      per_tenant[static_cast<std::size_t>(ti)].push_back(i);
-    }
-    std::vector<std::size_t> cursor(eff.size(), 0);
-    for (;;) {
-      int best = -1;
-      for (std::size_t t = 0; t < eff.size(); ++t) {
-        if (cursor[t] >= per_tenant[t].size()) continue;
-        if (best < 0 || eff[t] < eff[static_cast<std::size_t>(best)])
-          best = static_cast<int>(t);
-      }
-      if (best < 0) break;
-      const std::size_t bt = static_cast<std::size_t>(best);
-      const std::size_t idx = per_tenant[bt][cursor[bt]++];
-      push(idx);
-      eff[bt] += cost_of(idx) / options_.tenants[bt].weight;
-    }
-  };
-  interleave([&] { return resume_.size(); },
-             [&](std::size_t i) { return tenant_idx(resume_[i].tenant); },
-             [&](std::size_t i) {
-               return static_cast<double>(resume_[i].context);
-             },
-             [&](std::size_t i) {
-               order.push_back(WaitRef{resume_[i].id, true, i});
-             });
   std::size_t fresh = 0;
   while (fresh < queue_.size() && fresh < scan_cap &&
          queue_[fresh].eligible_s <= now)
     ++fresh;
-  interleave(
-      [&] { return fresh; },
+  std::vector<WaitRef> order;
+  order.reserve(resume_.size() + fresh);
+  const auto from_resume = [&](std::size_t i) {
+    order.push_back(WaitRef{resume_[i].id, true, i});
+  };
+  const auto from_queue = [&](std::size_t i) {
+    order.push_back(WaitRef{queue_[i].req.id, false, i});
+  };
+  // Legacy (no tenants): preempted sequences resume first (they hold
+  // generated tokens the system already paid for), then arrived fresh
+  // requests in queue order — the historical waiting order, bit-for-bit.
+  if (service_.empty()) {
+    for (std::size_t i = 0; i < resume_.size(); ++i) from_resume(i);
+    for (std::size_t i = 0; i < fresh; ++i) from_queue(i);
+    return order;
+  }
+  // Tenant mode: same two bands (resumes still outrank fresh arrivals),
+  // each interleaved by ascending virtual-service account, one account
+  // carried across both bands. A resume re-feeds its context; a fresh
+  // join is charged its whole prompt + gen up front, matching
+  // charge_service at admission.
+  clamp_idle_service();
+  std::vector<double> eff = service_;
+  const std::size_t all = std::numeric_limits<std::size_t>::max();
+  fair_interleave(
+      eff, options_.tenants, resume_.size(), all,
+      [&](std::size_t i) { return tenant_idx(resume_[i].tenant); },
+      [&](std::size_t i) { return static_cast<double>(resume_[i].context); },
+      from_resume);
+  fair_interleave(
+      eff, options_.tenants, fresh, all,
       [&](std::size_t i) { return tenant_idx(queue_[i].req.tenant_id); },
-      [&](std::size_t i) {
-        const ServeRequest& r = queue_[i].req;
-        return static_cast<double>(r.prompt_len + r.gen_tokens);
-      },
-      [&](std::size_t i) {
-        order.push_back(WaitRef{queue_[i].req.id, false, i});
-      });
+      [&](std::size_t i) { return fresh_cost(queue_[i].req); }, from_queue);
   return order;
 }
 
 SchedulerAction ServeScheduler::next_continuous(double now) {
-  SchedulerAction a;
   CapacityOptions copt;
   copt.max_batch = options_.max_batch;
   copt.token_budget = options_.token_budget;
@@ -668,21 +672,10 @@ SchedulerAction ServeScheduler::next_continuous(double now) {
     starved_rounds_ = 0;
   }
 
-  if (plan.admit.empty() && active_.empty()) {
-    // Nothing runnable now (the planner force-admits the waiting head when
-    // the batch is idle, so resume_ must be empty here): wait for the
-    // arrival stream, or finish.
-    if (!queue_.empty()) {
-      a.kind = SchedulerAction::Kind::kWait;
-      a.wait_until = queue_.front().eligible_s;
-    } else if (!closed_) {
-      a.kind = SchedulerAction::Kind::kWait;
-      a.wait_until = kInf;
-    } else {
-      a.kind = SchedulerAction::Kind::kDone;
-    }
-    return a;
-  }
+  // Nothing runnable now (the planner force-admits the waiting head when
+  // the batch is idle, so resume_ must be empty here): wait for the
+  // arrival stream, or finish.
+  if (plan.admit.empty() && active_.empty()) return wait_or_done();
 
   DispatchDecision d;
   d.seq = next_seq_++;
@@ -712,81 +705,32 @@ SchedulerAction ServeScheduler::next_continuous(double now) {
   // Continuing rows first, in admission order; joining rows trail.
   d.phase = active_.empty() ? ServePhase::kPrefillPass
                             : ServePhase::kDecodePass;
-  for (const ActiveReq& r : active_) {
-    d.request_ids.push_back(r.id);
-    d.contexts.push_back(r.context);
-    d.tenants.push_back(r.tenant);
-    d.classes.push_back(r.cls);
-    d.max_context = std::max(d.max_context, r.context);
-  }
+  emit_running(d);
   // The plan admits a prefix of the waiting list; map each admitted id
   // back to its source (resume deque or arrival queue) through the order
-  // refs and erase the picked entries afterwards, highest index first.
-  joining_.clear();
+  // refs and erase the picked entries afterwards.
   std::vector<std::size_t> pop_resume;
   std::vector<std::size_t> pop_queue;
   for (std::size_t k = 0; k < plan.admit.size(); ++k) {
     check_arg(k < order.size() && order[k].id == plan.admit[k],
               "ServeScheduler: admission must take a waiting-list prefix");
     const WaitRef& w = order[k];
-    ActiveReq jr;
     if (w.from_resume) {
-      jr = resume_[w.idx];
+      ActiveReq jr = resume_[w.idx];
+      open_record(jr.id).resume_wait_s += jr.parked_for(now);
+      jr.parked_at = -1.0;
+      emit_join(d, jr);
       pop_resume.push_back(w.idx);
-      if (jr.parked_at >= 0.0) {
-        auto sit = open_.find(jr.id);
-        check_arg(sit != open_.end(), "ServeScheduler: unknown resumed id");
-        sit->second.resume_wait_s += std::max(0.0, now - jr.parked_at);
-        jr.parked_at = -1.0;
-      }
     } else {
-      const QueuedReq& q = queue_[w.idx];
-      const ServeRequest& r = q.req;
-      RequestStats rs;
-      rs.id = r.id;
-      rs.arrival_s = r.arrival_s;
-      rs.admit_s = now;
-      rs.queue_delay_s = std::max(0.0, now - r.arrival_s);
-      rs.prompt_len = r.prompt_len;
-      rs.gen_tokens = r.gen_tokens;
-      rs.tenant = r.tenant_id;
-      rs.req_class = r.req_class;
-      rs.retries = q.attempts;
-      open_.emplace(r.id, rs);
-      jr.id = r.id;
-      jr.context = r.prompt_len;
-      jr.remaining = r.gen_tokens;
-      jr.retries = q.attempts;
-      jr.tenant = r.tenant_id;
-      jr.cls = r.req_class;
-      // Retries re-admit work that was charged at first admission.
-      if (q.attempts == 0)
-        charge_service(r.tenant_id,
-                       static_cast<double>(r.prompt_len + r.gen_tokens));
+      emit_join(d, admit(queue_[w.idx], now));
       pop_queue.push_back(w.idx);
     }
-    d.request_ids.push_back(jr.id);
-    d.contexts.push_back(jr.context);
-    d.tenants.push_back(jr.tenant);
-    d.classes.push_back(jr.cls);
-    d.padded_prompt = std::max(d.padded_prompt, jr.context);
-    joining_.push_back(jr);
-    ++d.num_join;
   }
-  std::sort(pop_resume.begin(), pop_resume.end(),
-            std::greater<std::size_t>());
-  for (const std::size_t idx : pop_resume)
-    resume_.erase(resume_.begin() + static_cast<std::ptrdiff_t>(idx));
-  std::sort(pop_queue.begin(), pop_queue.end(), std::greater<std::size_t>());
-  for (const std::size_t idx : pop_queue)
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
+  d.num_join = static_cast<int>(plan.admit.size());
   d.forced_joins = forced;
-
-  dispatch_now_ = now;
-  record_decision(d);
-  a.kind = SchedulerAction::Kind::kDispatch;
-  a.decision = std::move(d);
-  return a;
+  erase_at(resume_, std::move(pop_resume));
+  erase_at(queue_, std::move(pop_queue));
+  return dispatch(std::move(d), now);
 }
 
 void ServeScheduler::complete(const DispatchDecision& decision,
@@ -806,165 +750,45 @@ void ServeScheduler::complete(const DispatchDecision& decision,
         std::max(0.0, finish_s - dispatch_now_), trace_pid_, /*tid=*/0,
         "batch", static_cast<double>(decision.request_ids.size()));
 
-  if (options_.exec == DecodeExec::kContinuous) {
-    complete_continuous(decision, finish_s, prefill_end_s);
-    return;
-  }
-
-  if (decision.phase == ServePhase::kPrefillPass) {
-    for (int id : decision.request_ids) {
-      auto it = open_.find(id);
-      check_arg(it != open_.end(), "ServeScheduler: unknown request id");
-      RequestStats& rs = it->second;
-      const double prefill_s =
-          prefill_end_s >= 0.0
-              ? std::max(0.0, prefill_end_s - rs.admit_s)
-              : (options_.policy == SchedulerPolicy::kIterationLevel
-                     ? std::max(0.0, finish_s - rs.admit_s)
-                     : 0.0);
-      rs.prefill_s = prefill_s;
-      if (options_.policy == SchedulerPolicy::kStaticBatching) {
-        // The bundled padded run is over: everyone finishes together.
-        rs.finish_s = finish_s;
-        trace_request_lifecycle(rs);
-        finished_.push_back(rs);
-        open_.erase(it);
-      } else if (rs.gen_tokens <= 1) {
-        // Prefill emits token 1; zero-remaining requests complete at
-        // admission and never enter the active set.
-        rs.finish_s = finish_s;
-        trace_request_lifecycle(rs);
-        finished_.push_back(rs);
-        open_.erase(it);
+  // Continuing rows: a decode-phase round advances every running row by
+  // one token and retires the finished. (A prefill-phase round is all
+  // joins: the running set is empty in continuous mode and sits the round
+  // out in kSession.)
+  if (decision.phase == ServePhase::kDecodePass) {
+    check_arg(decision.request_ids.size() - joining_.size() == active_.size(),
+              "ServeScheduler: completion does not match the running set");
+    for (auto it = active_.begin(); it != active_.end();) {
+      ++it->context;
+      if (--it->remaining <= 0) {
+        retire(*it, RequestOutcome::kCompleted, finish_s, it->retries);
+        it = active_.erase(it);
       } else {
-        ActiveReq ar;
-        ar.id = id;
-        ar.context = rs.prompt_len + 1;
-        ar.remaining = rs.gen_tokens - 1;
-        ar.retries = rs.retries;  // prefill retries carry into decode
-        ar.tenant = rs.tenant;
-        ar.cls = rs.req_class;
-        active_.push_back(ar);
+        ++it;
       }
     }
-    return;
   }
-
-  // Decode round: every active request advanced by one token.
-  check_arg(decision.request_ids.size() == active_.size(),
-            "ServeScheduler: decode completion does not match active set");
-  for (auto it = active_.begin(); it != active_.end();) {
-    ++it->context;
-    if (--it->remaining <= 0) {
-      auto sit = open_.find(it->id);
-      check_arg(sit != open_.end(), "ServeScheduler: unknown active id");
-      sit->second.finish_s = finish_s;
-      sit->second.retries = it->retries;
-      trace_request_lifecycle(sit->second);
-      finished_.push_back(sit->second);
-      open_.erase(sit);
-      it = active_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ServeScheduler::complete_continuous(const DispatchDecision& decision,
-                                         double finish_s,
-                                         double prefill_end_s) {
-  const std::size_t cont =
-      decision.request_ids.size() - static_cast<std::size_t>(decision.num_join);
-  check_arg(cont == active_.size(),
-            "ServeScheduler: continuous completion does not match the "
-            "continuing set");
-  // Continuing rows: one decoded token each, retire the finished.
-  for (auto it = active_.begin(); it != active_.end();) {
-    ++it->context;
-    if (--it->remaining <= 0) {
-      auto sit = open_.find(it->id);
-      check_arg(sit != open_.end(), "ServeScheduler: unknown active id");
-      sit->second.finish_s = finish_s;
-      sit->second.retries = it->retries;
-      trace_request_lifecycle(sit->second);
-      finished_.push_back(sit->second);
-      open_.erase(sit);
-      it = active_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Joining rows: the ride-along prefill emitted each row's next token —
-  // token 1 for a fresh request, the next continuation token for a
-  // preempt-resume (the full-history re-prefill samples exactly what the
-  // preempted decode step would have, greedy sampling being deterministic).
+  // Joining rows: the round ran their prefill, which emitted each row's
+  // next token — token 1 for a fresh request, the next continuation token
+  // for a preempt-resume (the full-history re-prefill samples exactly what
+  // the preempted decode step would have, greedy sampling being
+  // deterministic). Static batching's bundled padded run is over instead:
+  // every row finishes together.
+  const bool bundled = options_.policy == SchedulerPolicy::kStaticBatching;
   for (ActiveReq& r : joining_) {
-    auto sit = open_.find(r.id);
-    check_arg(sit != open_.end(), "ServeScheduler: unknown joining id");
-    RequestStats& rs = sit->second;
+    RequestStats& rs = open_record(r.id);
     if (r.context == rs.prompt_len) {
       // Fresh join: this round was its prefill (resumed rows re-prefill
       // too, but their prefill stat was recorded at first admission).
-      rs.prefill_s = prefill_end_s >= 0.0
-                         ? std::max(0.0, prefill_end_s - rs.admit_s)
-                         : std::max(0.0, finish_s - rs.admit_s);
+      const double prefill_end = prefill_end_s >= 0.0 ? prefill_end_s
+                                 : bundled           ? rs.admit_s
+                                                     : finish_s;
+      rs.prefill_s = std::max(0.0, prefill_end - rs.admit_s);
     }
     ++r.context;
-    if (--r.remaining <= 0) {
-      rs.finish_s = finish_s;
-      rs.retries = r.retries;
-      trace_request_lifecycle(rs);
-      finished_.push_back(rs);
-      open_.erase(sit);
-    } else {
+    if (--r.remaining <= 0 || bundled)
+      retire(r, RequestOutcome::kCompleted, finish_s, r.retries);
+    else
       active_.push_back(r);
-    }
-  }
-  joining_.clear();
-}
-
-void ServeScheduler::fail_continuous(double now, int& max_attempt) {
-  // Continuing rows: decode-fail semantics — the round is idempotent at
-  // the scheduler level, so the set stays resident and is retried; rows
-  // that exhaust the cap leave as kFailed.
-  for (auto it = active_.begin(); it != active_.end();) {
-    ++it->retries;
-    if (it->retries > options_.max_retries) {
-      auto sit = open_.find(it->id);
-      check_arg(sit != open_.end(), "ServeScheduler: unknown active id");
-      RequestStats rs = sit->second;
-      rs.finish_s = now;
-      rs.outcome = RequestOutcome::kFailed;
-      rs.retries = it->retries - 1;
-      finished_.push_back(rs);
-      open_.erase(sit);
-      it = active_.erase(it);
-    } else {
-      max_attempt = std::max(max_attempt, it->retries);
-      ++it;
-    }
-  }
-  // Joining rows committed nothing: back to the resume queue's *front*
-  // (reverse iteration preserves their relative order) so the retry keeps
-  // FIFO fairness. Preempted rows already sit on resume_ from decision
-  // time and simply stay there.
-  for (auto it = joining_.rbegin(); it != joining_.rend(); ++it) {
-    ActiveReq r = *it;
-    ++r.retries;
-    if (r.retries > options_.max_retries) {
-      auto sit = open_.find(r.id);
-      check_arg(sit != open_.end(), "ServeScheduler: unknown joining id");
-      RequestStats rs = sit->second;
-      rs.finish_s = now;
-      rs.outcome = RequestOutcome::kFailed;
-      rs.retries = r.retries - 1;
-      finished_.push_back(rs);
-      open_.erase(sit);
-      continue;
-    }
-    max_attempt = std::max(max_attempt, r.retries);
-    r.parked_at = now;  // re-parked: the wait restarts at failure time
-    resume_.push_front(r);
   }
   joining_.clear();
 }
@@ -977,60 +801,64 @@ void ServeScheduler::fail(const DispatchDecision& decision, double now) {
   in_flight_ = false;
   int max_attempt = 1;  // backoff window scales with the deepest retry
 
-  if (options_.exec == DecodeExec::kContinuous) {
-    fail_continuous(now, max_attempt);
-  } else if (decision.phase == ServePhase::kPrefillPass) {
-    // The pass produced nothing: pull its requests back out of open_ and
-    // either re-enqueue them behind a backoff window or, past the retry
-    // cap, finish them as kFailed. Retries keep their original arrival
-    // (deadlines keep running) and their admission (no re-rejection).
-    for (int id : decision.request_ids) {
-      auto it = open_.find(id);
-      check_arg(it != open_.end(), "ServeScheduler: unknown request id");
-      const RequestStats rs = it->second;
-      open_.erase(it);
-      const int attempt = rs.retries + 1;
-      ServeRequest r;
-      r.id = rs.id;
-      r.arrival_s = rs.arrival_s;
-      r.prompt_len = rs.prompt_len;
-      r.gen_tokens = rs.gen_tokens;
-      r.tenant_id = rs.tenant;
-      r.req_class = rs.req_class;
-      if (attempt > options_.max_retries) {
-        finish_unserved(r, RequestOutcome::kFailed, now, rs.retries);
-        continue;
-      }
-      max_attempt = std::max(max_attempt, attempt);
-      QueuedReq q;
-      q.req = r;
-      q.eligible_s = now + backoff_s(attempt);
-      q.attempts = attempt;
-      q.admitted = true;
-      enqueue(std::move(q));
-    }
-  } else {
-    // Decode rounds are idempotent at the scheduler level (context and
-    // remaining advance only in complete()), so the round is simply
-    // retried wholesale; requests that exhaust the cap leave as kFailed.
+  // Continuing rows: decode rounds are idempotent at the scheduler level
+  // (context and remaining advance only in complete()), so the running set
+  // stays resident and the round is retried; rows past the cap leave as
+  // kFailed.
+  if (decision.phase == ServePhase::kDecodePass) {
     for (auto it = active_.begin(); it != active_.end();) {
-      ++it->retries;
-      if (it->retries > options_.max_retries) {
-        auto sit = open_.find(it->id);
-        check_arg(sit != open_.end(), "ServeScheduler: unknown active id");
-        RequestStats rs = sit->second;
-        rs.finish_s = now;
-        rs.outcome = RequestOutcome::kFailed;
-        rs.retries = it->retries - 1;
-        finished_.push_back(rs);
-        open_.erase(sit);
+      if (charge_retry(*it, max_attempt)) {
+        retire(*it, RequestOutcome::kFailed, now, it->retries - 1);
         it = active_.erase(it);
       } else {
-        max_attempt = std::max(max_attempt, it->retries);
         ++it;
       }
     }
   }
+  // Joining rows committed nothing. The one exec-specific step: a failed
+  // continuous join parks at the resume queue's *front* (walked in reverse
+  // so the rows keep their relative order) and the retry keeps FIFO
+  // fairness — preempted rows already sit on resume_ from decision time
+  // and simply stay there. A failed kSession or static join goes back to
+  // the queue behind its backoff window, keeping its arrival (deadlines
+  // keep running) and its admission (no re-rejection); past the cap it
+  // finishes as a request that was never served.
+  const bool park = options_.exec == DecodeExec::kContinuous;
+  const std::size_t joins = joining_.size();
+  for (std::size_t k = 0; k < joins; ++k) {
+    ActiveReq& r = joining_[park ? joins - 1 - k : k];
+    const bool exhausted = charge_retry(r, max_attempt);
+    if (park) {
+      if (exhausted) {
+        retire(r, RequestOutcome::kFailed, now, r.retries - 1);
+      } else {
+        r.parked_at = now;  // re-parked: the wait restarts at failure time
+        resume_.push_front(r);
+      }
+      continue;
+    }
+    const auto it = open_.find(r.id);
+    check_arg(it != open_.end(), "ServeScheduler: unknown request id");
+    const RequestStats& rs = it->second;
+    QueuedReq q;
+    q.req.id = rs.id;
+    q.req.arrival_s = rs.arrival_s;
+    q.req.prompt_len = rs.prompt_len;
+    q.req.gen_tokens = rs.gen_tokens;
+    q.req.tenant_id = rs.tenant;
+    q.req.req_class = rs.req_class;
+    open_.erase(it);
+    if (exhausted) {
+      finish(stats_for(q.req, now, r.retries - 1), RequestOutcome::kFailed,
+             now);
+      continue;
+    }
+    q.eligible_s = now + backoff_s(r.retries);
+    q.attempts = r.retries;
+    q.admitted = true;
+    enqueue(std::move(q));
+  }
+  joining_.clear();
   resume_not_before_ =
       std::max(resume_not_before_, now + backoff_s(max_attempt));
   if (trace_ && TraceSession::enabled())
@@ -1060,6 +888,28 @@ OutcomeCounts ServeScheduler::outcomes() const {
     c.retries += rs.retries;
   }
   return c;
+}
+
+ServedSummary summarize_served(const ServeScheduler& scheduler,
+                               double makespan_s) {
+  ServedSummary s;
+  std::int64_t tokens_out = 0;
+  std::vector<double> latencies, queue_delays, prefills;
+  for (const RequestStats& r : scheduler.finished()) {
+    if (r.outcome != RequestOutcome::kCompleted) continue;
+    ++s.completed;
+    tokens_out += r.gen_tokens;
+    latencies.push_back(r.finish_s - r.arrival_s);
+    queue_delays.push_back(r.queue_delay_s);
+    prefills.push_back(r.prefill_s);
+  }
+  s.throughput_tokens_per_s =
+      makespan_s > 0.0 ? static_cast<double>(tokens_out) / makespan_s : 0.0;
+  s.latency = summarize_latency(std::move(latencies));
+  s.queue_delay = summarize_latency(std::move(queue_delays));
+  s.prefill = summarize_latency(std::move(prefills));
+  s.outcomes = scheduler.outcomes();
+  return s;
 }
 
 }  // namespace llmpq

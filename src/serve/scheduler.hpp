@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -8,6 +9,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "serve/tenant.hpp"
 
@@ -146,11 +148,16 @@ struct SchedulerOptions {
   /// 0 disables (legacy decision logs unchanged); -1 = auto (0 without
   /// tenants, 16 with tenants configured).
   int join_starvation_rounds = -1;
-  /// Caps the waiting-list prefix the continuous-mode planner examines
-  /// per round, bounding per-round work under a deep backlog (the 10^6
-  /// request scale scenario). 0 = unbounded. The cap never reorders —
-  /// it only truncates the tail the planner would not admit anyway once
-  /// the batch is near capacity.
+  /// Caps the arrived-queue prefix the continuous-mode planner examines
+  /// per round (resume rows are always examined), bounding per-round work
+  /// under a deep backlog (the 10^6 request scale scenario). 0 =
+  /// unbounded. A round admits at most max_batch rows, so in legacy mode
+  /// any limit >= max_batch leaves every decision unchanged. With tenants
+  /// the cut happens before the fair interleave: the cap is
+  /// decision-neutral only while every tenant has min(its arrived rows,
+  /// max_batch) of them inside the scanned prefix. Otherwise it reorders
+  /// admission — a deeper backlog of one tenant hides a later tenant's
+  /// arrivals until that backlog drains below the limit.
   int admit_scan_limit = 0;
   /// When false, the scheduler stops retaining the dispatch-decision log
   /// (decision_log() stays empty). Million-request runs disable it —
@@ -350,6 +357,10 @@ class ServeScheduler {
     /// failed join); < 0 while running. Re-admission charges the parked
     /// interval to RequestStats::resume_wait_s.
     double parked_at = -1.0;
+    /// The parked interval up to `now` (0 while running).
+    double parked_for(double now) const {
+      return parked_at >= 0.0 ? std::max(0.0, now - parked_at) : 0.0;
+    }
   };
 
   /// Queue entry: a waiting request plus its retry state. `eligible_s` is
@@ -377,9 +388,7 @@ class ServeScheduler {
   /// pressure, then dispatch the continuing set plus the admitted joins as
   /// a single decision.
   SchedulerAction next_continuous(double now);
-  void complete_continuous(const DispatchDecision& decision, double finish_s,
-                           double prefill_end_s);
-  void fail_continuous(double now, int& max_attempt);
+  /// Admits `take` arrived requests as one all-join prefill round.
   DispatchDecision make_prefill_decision(double now, int take);
   int arrived_count(double now) const;
   /// Builds the round's waiting order: resume rows first, then arrived
@@ -387,9 +396,8 @@ class ServeScheduler {
   /// ascending virtual service when tenants are configured.
   std::vector<WaitRef> order_waiting(double now);
   /// Tenant bookkeeping. tenant_idx returns the spec index (-1 when
-  /// tenants are not configured); weight_of/deadline_for read the spec.
+  /// tenants are not configured); deadline_for reads the spec.
   int tenant_idx(int tenant_id) const;
-  double weight_of(int tenant_id) const;
   double deadline_for(int tenant_id) const;
   /// Charges `tokens` of admitted work to the tenant's virtual-time
   /// account (no-op in legacy mode).
@@ -399,20 +407,39 @@ class ServeScheduler {
   /// smallest account among tenants that do hold rows, so a returning
   /// tenant gets priority without monopolizing the batch.
   void clamp_idle_service();
-  void record_decision(const DispatchDecision& d);
   void trace_request_lifecycle(const RequestStats& rs) const;
   void enqueue(QueuedReq entry);
   /// Deterministic arrival-order pass: expire queued requests whose
   /// deadline lapsed, then apply the admission bound to fresh arrivals.
   void process_arrivals(double now);
-  /// Iteration-level deadline check over the in-generation set.
+  /// Iteration-level deadline check over the running and parked rows.
   void expire_active(double now);
-  void finish_unserved(const ServeRequest& r, RequestOutcome outcome,
-                       double finish_s, int retries);
   double backoff_s(int attempt) const;
   /// Folds deadline-expiry wakeups into a kWait action so a waiting
   /// back-end wakes in time to time requests out.
   void fold_expiry_wakeups(SchedulerAction& a) const;
+
+  // ---- One implementation per step of a request's life.
+
+  RequestStats& open_record(int id);
+  /// Opens the request's record and charges its tenant; returns the row
+  /// that joins this round.
+  ActiveReq admit(const QueuedReq& q, double now);
+  /// Stamps `rs` with its outcome, moves it to finished_ and traces it.
+  void finish(RequestStats rs, RequestOutcome outcome, double finish_s);
+  /// finish() for an admitted row: closes its open record, charging any
+  /// parked interval to resume_wait_s.
+  void retire(const ActiveReq& r, RequestOutcome outcome, double finish_s,
+              int retries);
+  /// Charges one failed dispatch to `r`; true once it is past max_retries.
+  bool charge_retry(ActiveReq& r, int& max_attempt) const;
+  /// Appends the running rows (continuing rows lead every decode round).
+  void emit_running(DispatchDecision& d) const;
+  /// Appends a joining row and records it in joining_.
+  void emit_join(DispatchDecision& d, const ActiveReq& r);
+  SchedulerAction dispatch(DispatchDecision d, double now);
+  /// Nothing to dispatch: wait for the next arrival or submit(), or finish.
+  SchedulerAction wait_or_done() const;
 
   SchedulerOptions options_;
   std::unordered_set<int> ids_;     ///< every id ever submitted (O(1) dups)
@@ -422,8 +449,10 @@ class ServeScheduler {
   /// outrank fresh arrivals for admission since they already hold
   /// generated tokens) plus failed joins awaiting retry.
   std::deque<ActiveReq> resume_;
-  /// Continuous mode: the joining rows of the in-flight decision, so
-  /// complete()/fail() know each join's shape (context fed, remaining).
+  /// The joining rows of the in-flight decision (every row of a prefill
+  /// round, the trailing rows of a continuous round), so complete()/fail()
+  /// know each join's shape (context fed, remaining). Empty between
+  /// dispatches.
   std::vector<ActiveReq> joining_;
   std::unordered_map<int, RequestStats> open_;  ///< admitted, not finished
   std::vector<RequestStats> finished_;
@@ -454,5 +483,23 @@ class ServeScheduler {
 };
 
 const char* scheduler_policy_name(SchedulerPolicy policy);
+
+/// The served-only view of a run that every back-end reports (OnlineReport,
+/// OnlineSimResult, the metrics export). Throughput and the latency
+/// summaries cover completed requests only — folding rejected or timed-out
+/// requests in would make a lossy run look faster, not slower.
+struct ServedSummary {
+  int completed = 0;
+  double throughput_tokens_per_s = 0.0;  ///< useful (unpadded) tokens
+  LatencySummary latency;      ///< arrival -> last token
+  LatencySummary queue_delay;  ///< arrival -> admission
+  LatencySummary prefill;      ///< prefill pass time
+  OutcomeCounts outcomes;      ///< over every finished request
+};
+
+/// Summarizes `scheduler.finished()` over a run of `makespan_s` seconds
+/// (throughput reads 0 for a non-positive makespan).
+ServedSummary summarize_served(const ServeScheduler& scheduler,
+                               double makespan_s);
 
 }  // namespace llmpq

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 #include "cost/ground_truth.hpp"
 #include "cost/profiler.hpp"
 #include "serve/serve_driver.hpp"
@@ -333,37 +332,22 @@ OnlineSimResult simulate_online(const ModelSpec& model,
   driver.run(clock, exec);
   const double t = clock.now();
 
-  // Served requests only: a run that times half its requests out must not
-  // report them as throughput (mirrors the runtime report).
-  std::int64_t tokens_out = 0;
-  int completed = 0;
-  std::vector<double> latencies, queue_delays, prefills;
-  for (const RequestStats& r : scheduler.finished()) {
-    if (r.outcome != RequestOutcome::kCompleted) continue;
-    ++completed;
-    tokens_out += r.gen_tokens;  // useful (unpadded) tokens
-    latencies.push_back(r.finish_s - r.arrival_s);
-    queue_delays.push_back(r.queue_delay_s);
-    prefills.push_back(r.prefill_s);
-  }
-  const OutcomeCounts oc = scheduler.outcomes();
-  result.timed_out = oc.timed_out;
-  result.rejected = oc.rejected;
-  result.failed = oc.failed;
-  result.retries = oc.retries;
-  result.fault_events = exec.fault_events();
+  // Same served-only summary as the runtime report.
+  const ServedSummary served = summarize_served(scheduler, t);
   result.ok = true;
-  result.completed = completed;
+  result.completed = served.completed;
   result.makespan_s = t;
-  result.throughput_tokens_per_s =
-      t > 0.0 ? static_cast<double>(tokens_out) / t : 0.0;
-  if (!latencies.empty()) {
-    result.mean_latency_s = mean(latencies);
-    result.p95_latency_s = percentile(latencies, 95);
-    result.p99_latency_s = percentile(latencies, 99);
-    result.mean_queue_delay_s = mean(queue_delays);
-    result.mean_prefill_s = mean(prefills);
-  }
+  result.throughput_tokens_per_s = served.throughput_tokens_per_s;
+  result.mean_latency_s = served.latency.mean_s;
+  result.p95_latency_s = served.latency.p95_s;
+  result.p99_latency_s = served.latency.p99_s;
+  result.mean_queue_delay_s = served.queue_delay.mean_s;
+  result.mean_prefill_s = served.prefill.mean_s;
+  result.timed_out = served.outcomes.timed_out;
+  result.rejected = served.outcomes.rejected;
+  result.failed = served.outcomes.failed;
+  result.retries = served.outcomes.retries;
+  result.fault_events = exec.fault_events();
   result.preemptions = scheduler.preemptions();
   result.forced_joins = scheduler.forced_joins();
   result.tenants = scheduler.tenant_summaries();

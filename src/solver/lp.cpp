@@ -35,11 +35,6 @@ void LpProblem::set_bounds(int var, double lower, double upper) {
   upper_[static_cast<std::size_t>(var)] = upper;
 }
 
-void LpProblem::set_objective_coeff(int var, double coeff) {
-  check_arg(var >= 0 && var < num_vars(), "set_objective_coeff: bad var");
-  objective_[static_cast<std::size_t>(var)] = coeff;
-}
-
 const char* lp_status_name(LpStatus status) {
   switch (status) {
     case LpStatus::kOptimal:

@@ -46,7 +46,6 @@ class LpProblem {
   const std::string& var_name(int j) const { return names_[static_cast<std::size_t>(j)]; }
 
   void set_bounds(int var, double lower, double upper);
-  void set_objective_coeff(int var, double coeff);
 
  private:
   std::vector<double> objective_;

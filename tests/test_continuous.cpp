@@ -351,6 +351,125 @@ TEST(ContinuousScheduler, MemoryPressurePreemptsNewestAndResumesFifo) {
   EXPECT_EQ(s.finished().size(), 2u);
 }
 
+const RequestStats* find_stats(const ServeScheduler& s, int id) {
+  for (const RequestStats& r : s.finished())
+    if (r.id == id) return &r;
+  return nullptr;
+}
+
+TEST(ContinuousScheduler, DeadlineExpiresAParkedRowAndChargesItsWait) {
+  // The memory-pressure scenario above, with a deadline: once request 1
+  // is parked on the resume queue the clock jumps past both deadlines.
+  // The running row and the parked row both time out at the clock value
+  // passed to next(), and the parked row's resume wait gains the whole
+  // interval since it was parked.
+  SchedulerOptions opt = continuous_options();
+  opt.kv_page_size = 4;
+  opt.kv_pages = 6;
+  opt.deadline_s = 10.0;
+  ServeScheduler s(opt);
+  s.submit(req(0, 0.0, 10, 8));
+  s.submit(req(1, 0.0, 9, 8));
+  s.close();
+
+  double t = 0.0;
+  double parked_at = -1.0;
+  for (int guard = 0; parked_at < 0.0; ++guard) {
+    ASSERT_LT(guard, 50) << "scenario must preempt request 1";
+    const SchedulerAction a = s.next(t);
+    ASSERT_EQ(a.kind, SchedulerAction::Kind::kDispatch) << "t=" << t;
+    for (int id : a.decision.preempted)
+      if (id == 1) parked_at = t;
+    t += 0.25;
+    s.complete(a.decision, t);
+  }
+  ASSERT_TRUE(s.finished().empty());
+
+  const double now = 20.0;
+  EXPECT_EQ(s.next(now).kind, SchedulerAction::Kind::kDone);
+  const RequestStats* r0 = find_stats(s, 0);
+  const RequestStats* r1 = find_stats(s, 1);
+  ASSERT_NE(r0, nullptr);
+  ASSERT_NE(r1, nullptr);
+  EXPECT_EQ(r0->outcome, RequestOutcome::kTimedOut);
+  EXPECT_EQ(r1->outcome, RequestOutcome::kTimedOut);
+  EXPECT_DOUBLE_EQ(r0->finish_s, now);
+  EXPECT_DOUBLE_EQ(r1->finish_s, now);
+  EXPECT_DOUBLE_EQ(r0->resume_wait_s, 0.0);
+  EXPECT_DOUBLE_EQ(r1->resume_wait_s, now - parked_at);
+  EXPECT_EQ(s.outcomes().timed_out, 2);
+}
+
+TEST(ContinuousScheduler, SingleTokenJoinFinishesInItsJoinRound) {
+  // Request 1 generates one token: the ride-along prefill that admits it
+  // also emits that token, so it retires in its own join round and never
+  // enters the running set.
+  SchedulerOptions opt = continuous_options();
+  ServeScheduler s(opt);
+  s.submit(req(0, 0.0, 8, 3));
+  s.submit(req(1, 1.0, 6, 1));
+  s.close();
+
+  SchedulerAction a = s.next(0.0);
+  ASSERT_EQ(a.kind, SchedulerAction::Kind::kDispatch);
+  s.complete(a.decision, 0.5);
+
+  a = s.next(2.0);
+  ASSERT_EQ(a.kind, SchedulerAction::Kind::kDispatch);
+  EXPECT_EQ(a.decision.request_ids, (std::vector<int>{0, 1}));
+  EXPECT_EQ(a.decision.num_join, 1);
+  s.complete(a.decision, 2.5);
+  const RequestStats* r1 = find_stats(s, 1);
+  ASSERT_NE(r1, nullptr);
+  EXPECT_EQ(r1->outcome, RequestOutcome::kCompleted);
+  EXPECT_DOUBLE_EQ(r1->admit_s, 2.0);
+  EXPECT_DOUBLE_EQ(r1->prefill_s, 0.5);
+  EXPECT_DOUBLE_EQ(r1->finish_s, 2.5);
+
+  a = s.next(2.5);
+  ASSERT_EQ(a.kind, SchedulerAction::Kind::kDispatch);
+  EXPECT_EQ(a.decision.request_ids, std::vector<int>{0});
+  EXPECT_EQ(a.decision.num_join, 0);
+  s.complete(a.decision, 3.0);
+  EXPECT_EQ(s.next(3.0).kind, SchedulerAction::Kind::kDone);
+  EXPECT_EQ(s.outcomes().completed, 2);
+}
+
+TEST(ContinuousScheduler, JoinExhaustingRetriesEndsFailed) {
+  // Every dispatch of the lone join fails. Each failure parks the row at
+  // the resume front behind a backoff window; the failure past the cap
+  // finishes it as kFailed having consumed exactly max_retries retries.
+  SchedulerOptions opt = continuous_options();
+  opt.max_retries = 2;
+  opt.retry_backoff_s = 0.5;
+  opt.retry_backoff_max_s = 0.5;
+  ServeScheduler s(opt);
+  s.submit(req(0, 0.0, 8, 4));
+  s.close();
+
+  double t = 0.0;
+  for (int attempt = 0; attempt <= opt.max_retries; ++attempt) {
+    const SchedulerAction a = s.next(t);
+    ASSERT_EQ(a.kind, SchedulerAction::Kind::kDispatch) << "t=" << t;
+    EXPECT_EQ(a.decision.request_ids, std::vector<int>{0});
+    EXPECT_EQ(a.decision.num_join, 1);
+    t += 0.25;
+    s.fail(a.decision, t);
+    if (attempt < opt.max_retries) {
+      EXPECT_TRUE(s.finished().empty());
+      t += 0.5;  // the backoff window
+    }
+  }
+  EXPECT_EQ(s.next(t).kind, SchedulerAction::Kind::kDone);
+  ASSERT_EQ(s.finished().size(), 1u);
+  const RequestStats& r = s.finished()[0];
+  EXPECT_EQ(r.outcome, RequestOutcome::kFailed);
+  EXPECT_EQ(r.retries, opt.max_retries);
+  EXPECT_DOUBLE_EQ(r.finish_s, t);
+  EXPECT_EQ(s.outcomes().failed, 1);
+  EXPECT_EQ(s.outcomes().retries, opt.max_retries);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end fidelity: every continuous request matches its unbatched
 // greedy reference bit-for-bit, with and without forced preemption.

@@ -609,7 +609,8 @@ TEST(Weights, GroupFormatServesSameMastersAndGenerates) {
       build_random_model(spec, bits, 9, QuantFormat::kGroup32), prompts, 4);
   EXPECT_EQ(out1, out2);
   // Same masters requantized: at 16 bits the format is moot, so builds
-  // under different formats are identical (the degrade-ladder property).
+  // under different formats are identical (what a bit-change migration
+  // relies on when it requantizes a layer from the shared masters).
   const std::vector<int> fp(static_cast<std::size_t>(spec.layers), 16);
   const ModelWeights a = build_random_model(spec, fp, 9);
   const ModelWeights b =

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "baselines/baselines.hpp"
 #include "common/error.hpp"
+#include "common/trace.hpp"
 #include "runtime/transformer.hpp"
 #include "serve/online_engine.hpp"
 #include "sim/online_sim.hpp"
@@ -226,6 +233,82 @@ TEST(ServeScheduler, RejectsMisuse) {
   EXPECT_THROW(s.complete(a.decision, 1.0), InvalidArgumentError);
   s.close();
   EXPECT_THROW(s.submit(req(1, 0.0, 8, 2)), InvalidArgumentError);
+}
+
+// Stops the process-wide trace session even when an assertion bails out.
+struct TraceGuard {
+  TraceGuard() { TraceSession::instance().start(1 << 12); }
+  ~TraceGuard() { TraceSession::instance().stop(); }
+};
+
+TEST(ServeScheduler, LifecycleTraceStampsEveryPhaseOfEveryRequest) {
+  // Every completed request renders as one queue, one prefill and one
+  // decode async span on the scheduler's pid, stamped at arrival, admit,
+  // admit + prefill_s and finish, each shifted by the trace offset. Run
+  // for both iteration-level exec modes on an explicit clock.
+  const double offset = 0.5;
+  for (const DecodeExec exec :
+       {DecodeExec::kSession, DecodeExec::kContinuous}) {
+    SCOPED_TRACE(exec == DecodeExec::kSession ? "kSession" : "kContinuous");
+    TraceGuard guard;
+    SchedulerOptions opt;
+    opt.policy = SchedulerPolicy::kIterationLevel;
+    opt.exec = exec;
+    opt.max_batch = 2;
+    ServeScheduler s(opt);
+    s.enable_trace(trace_pids::kServe, offset);
+    s.submit(req(0, 0.0, 8, 3));
+    s.submit(req(1, 0.25, 6, 2));
+    s.submit(req(2, 0.5, 5, 4));
+    s.submit(req(3, 2.0, 7, 2));
+    s.close();
+    double t = 0.0;
+    for (int guard_rounds = 0;; ++guard_rounds) {
+      ASSERT_LT(guard_rounds, 100) << "scheduler failed to converge";
+      const SchedulerAction a = s.next(t);
+      if (a.kind == SchedulerAction::Kind::kDone) break;
+      if (a.kind == SchedulerAction::Kind::kWait) {
+        t = a.wait_until;
+        continue;
+      }
+      t += 0.25;
+      s.complete(a.decision, t);
+    }
+    TraceSession::instance().stop();
+
+    std::map<std::pair<std::uint64_t, std::string>, std::vector<TraceEvent>>
+        spans;
+    for (const TraceEvent& e : TraceSession::instance().snapshot())
+      if ((e.phase == 'b' || e.phase == 'e') && e.pid == trace_pids::kServe &&
+          std::string(e.category) == "request")
+        spans[{e.id, e.name}].push_back(e);
+
+    ASSERT_EQ(s.outcomes().completed, 4);
+    for (const RequestStats& rs : s.finished()) {
+      const auto id = static_cast<std::uint64_t>(rs.id);
+      ASSERT_GT(rs.prefill_s, 0.0);
+      const double prefill_end = rs.admit_s + rs.prefill_s;
+      ASSERT_GT(rs.finish_s, prefill_end);
+      const std::vector<std::tuple<std::string, double, double>> expected = {
+          {"queue", rs.arrival_s, rs.admit_s},
+          {"prefill", rs.admit_s, prefill_end},
+          {"decode", prefill_end, rs.finish_s}};
+      for (const auto& [name, begin_s, end_s] : expected) {
+        const std::vector<TraceEvent>& ev = spans[{id, name}];
+        ASSERT_EQ(ev.size(), 2u) << "request " << rs.id << " " << name;
+        const TraceEvent& b = ev[0].phase == 'b' ? ev[0] : ev[1];
+        const TraceEvent& e = ev[0].phase == 'b' ? ev[1] : ev[0];
+        EXPECT_EQ(b.phase, 'b');
+        EXPECT_EQ(e.phase, 'e');
+        EXPECT_NEAR(static_cast<double>(b.ts_ns), (begin_s + offset) * 1e9,
+                    1.0)
+            << "request " << rs.id << " " << name;
+        EXPECT_NEAR(static_cast<double>(e.ts_ns), (end_s + offset) * 1e9, 1.0)
+            << "request " << rs.id << " " << name;
+      }
+    }
+    EXPECT_EQ(spans.size(), 3u * s.finished().size());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -156,6 +156,89 @@ TEST(TenantFairShare, IdleTenantCannotBankFairShareCredit) {
 }
 
 // ---------------------------------------------------------------------------
+// admit_scan_limit: the continuous planner examines only a prefix of the
+// arrived queue. Decision-neutral in legacy mode once the limit covers a
+// full batch; with tenants a deep backlog can hide another tenant's rows.
+// ---------------------------------------------------------------------------
+
+SchedulerOptions scan_options(int limit) {
+  SchedulerOptions opt;
+  opt.policy = SchedulerPolicy::kIterationLevel;
+  opt.exec = DecodeExec::kContinuous;
+  opt.max_batch = 4;
+  opt.kv_page_size = 4;
+  opt.kv_pages = 10;
+  opt.admit_scan_limit = limit;
+  return opt;
+}
+
+std::vector<TimedDecision> drive_backlog(const SchedulerOptions& opt,
+                                         int requests) {
+  ServeScheduler s(opt);
+  for (int i = 0; i < requests; ++i)
+    s.submit(treq(i, 0.01 * i, 4 + (i * 7) % 13, 2 + (i * 5) % 9));
+  s.close();
+  return drive(s, 0.25, 2000);
+}
+
+TEST(AdmitScanLimit, LegacyLimitCoveringABatchKeepsTheDecisionLog) {
+  const int requests = 40;  // backlog deeper than every limit below
+  const std::vector<TimedDecision> unlimited =
+      drive_backlog(scan_options(0), requests);
+  ASSERT_FALSE(unlimited.empty());
+  bool preempted = false;
+  for (const TimedDecision& td : unlimited)
+    preempted |= !td.d.preempted.empty();
+  EXPECT_TRUE(preempted) << "the page cap must put rows on the resume queue";
+  for (const int limit : {4, 5, 8}) {
+    const std::vector<TimedDecision> capped =
+        drive_backlog(scan_options(limit), requests);
+    ASSERT_EQ(capped.size(), unlimited.size()) << "limit " << limit;
+    for (std::size_t i = 0; i < capped.size(); ++i) {
+      const DispatchDecision& a = capped[i].d;
+      const DispatchDecision& b = unlimited[i].d;
+      EXPECT_DOUBLE_EQ(capped[i].at, unlimited[i].at);
+      EXPECT_EQ(a.seq, b.seq);
+      EXPECT_EQ(a.phase, b.phase);
+      EXPECT_EQ(a.request_ids, b.request_ids) << "limit " << limit;
+      EXPECT_EQ(a.contexts, b.contexts);
+      EXPECT_EQ(a.num_join, b.num_join);
+      EXPECT_EQ(a.preempted, b.preempted);
+      EXPECT_EQ(a.forced_joins, b.forced_joins);
+    }
+  }
+}
+
+TEST(AdmitScanLimit, TenantBacklogDeeperThanTheLimitHidesALaterTenant) {
+  // 300 arrived rows of tenant 1, then one of tenant 2, equal weights.
+  // The full fair interleave admits 0, 300, 1, ...; a 256-row scan sees
+  // only tenant 1, so request 300 misses the round.
+  const auto first_round = [](int limit) {
+    SchedulerOptions opt;
+    opt.policy = SchedulerPolicy::kIterationLevel;
+    opt.exec = DecodeExec::kContinuous;
+    opt.max_batch = 16;
+    opt.tenants = {tenant(1, 1.0), tenant(2, 1.0)};
+    opt.admit_scan_limit = limit;
+    ServeScheduler s(opt);
+    for (int i = 0; i < 300; ++i) s.submit(treq(i, 0.0, 8, 4, 1));
+    s.submit(treq(300, 0.0, 8, 4, 2));
+    s.close();
+    const SchedulerAction a = s.next(0.0);
+    EXPECT_EQ(a.kind, SchedulerAction::Kind::kDispatch);
+    return a.decision.request_ids;
+  };
+  const std::vector<int> unlimited = first_round(0);
+  ASSERT_EQ(unlimited.size(), 16u);
+  EXPECT_EQ(unlimited[0], 0);
+  EXPECT_EQ(unlimited[1], 300);
+  EXPECT_EQ(unlimited[2], 1);
+  std::vector<int> fifo(16);
+  for (int i = 0; i < 16; ++i) fifo[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(first_round(256), fifo);
+}
+
+// ---------------------------------------------------------------------------
 // Resume-wait accounting: preemption-era waiting must land in
 // RequestStats::resume_wait_s so waits decompose wall time (the accounting
 // gap this PR fixes — queue_delay_s only covers arrival -> first
