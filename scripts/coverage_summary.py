@@ -9,12 +9,12 @@ The build tree must be compiled with gcc `--coverage` and the tests must
 already have run, so every object file has its .gcda counters next to its
 .gcno notes. The script runs `gcov --json-format --stdout` over those
 counters (gcov ships with gcc; gcovr and lcov are not needed) and counts,
-for every source file under --src (default: the repo's src/), the lines
+for every source file under the repo's src/, the lines
 gcov marks executable and how many of them ran. A header compiled into
 several translation units counts once: a line is executable if any unit
 reports it and covered if any unit ran it.
 
-Prints the total, the --top least-covered files, and exits 1 when the
+Prints the total and the least-covered files, and exits 1 when the
 percentage is below --floor (0 disables the gate).
 """
 
@@ -25,8 +25,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+SRC = os.path.realpath(Path(__file__).resolve().parent.parent / "src")
 BATCH = 64  # .gcda files per gcov call
+TOP = 10  # least-covered files listed
 
 
 def gcov_documents(build_dir):
@@ -48,15 +49,14 @@ def gcov_documents(build_dir):
                 yield json.loads(line)
 
 
-def collect(build_dir, src_dir):
-    """Returns {source path: {line number: ran?}} for files under src_dir."""
-    src_dir = os.path.realpath(src_dir)
+def collect(build_dir):
+    """Returns {source path: {line number: ran?}} for files under src/."""
     lines = {}
     for doc in gcov_documents(build_dir):
         cwd = doc.get("current_working_directory", build_dir)
         for f in doc.get("files", []):
             path = os.path.realpath(os.path.join(cwd, f["file"]))
-            if not path.startswith(src_dir + os.sep):
+            if not path.startswith(SRC + os.sep):
                 continue
             per_file = lines.setdefault(path, {})
             for rec in f.get("lines", []):
@@ -68,25 +68,22 @@ def collect(build_dir, src_dir):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--build-dir", required=True)
-    ap.add_argument("--src", default=str(ROOT / "src"))
     ap.add_argument("--floor", type=float, default=0.0, help="minimum line coverage in percent")
-    ap.add_argument("--top", type=int, default=10, help="least-covered files to list")
     args = ap.parse_args()
 
-    lines = collect(args.build_dir, args.src)
+    lines = collect(args.build_dir)
     total = sum(len(v) for v in lines.values())
     ran = sum(sum(v.values()) for v in lines.values())
     if total == 0:
-        sys.exit(f"coverage: no executable lines under {args.src}")
+        sys.exit(f"coverage: no executable lines under {SRC}")
     pct = 100.0 * ran / total
 
-    src_root = os.path.realpath(args.src)
     missed = sorted(
-        ((len(v) - sum(v.values()), os.path.relpath(p, src_root)) for p, v in lines.items()),
+        ((len(v) - sum(v.values()), os.path.relpath(p, SRC)) for p, v in lines.items()),
         reverse=True,
     )
     print(f"{'missed':>7}  file (src/)")
-    for miss, rel in missed[: args.top]:
+    for miss, rel in missed[:TOP]:
         if miss:
             print(f"{miss:>7}  {rel}")
     print(f"src line coverage: {ran}/{total} = {pct:.2f}% ({len(lines)} files)")

@@ -25,7 +25,6 @@ double RunningStats::variance() const {
   return n_ >= 2 ? m2_ / static_cast<double>(n_) : 0.0;
 }
 
-
 double mean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double s = 0.0;

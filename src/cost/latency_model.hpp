@@ -23,7 +23,6 @@ class LatencyModel {
   /// be mixed; they are keyed by record.gpu_name.
   void fit(const std::vector<ProfileRecord>& records);
 
-
   /// Predicted single-layer latency.
   double predict(const std::string& gpu_name, int bits, Phase phase,
                  int batch, int seq_or_ctx) const;

@@ -449,9 +449,9 @@ class EngineExecutor final : public ServeExecutor {
     if (options_.metrics_out.empty()) return;
     const HealthMonitor::Snapshot snap = driver.monitor()->snapshot();
     MetricsRegistry reg;
-    const ServedSummary served = summarize_served(driver.scheduler(), 0.0);
-    reg.set_latency("serve.request_latency", served.latency);
-    const OutcomeCounts& oc = served.outcomes;
+    reg.set_latency("serve.request_latency",
+                    served_latency(driver.scheduler()));
+    const OutcomeCounts oc = driver.scheduler().outcomes();
     reg.set_value("serve.requests.completed", oc.completed);
     reg.set_value("serve.requests.timed_out", oc.timed_out);
     reg.set_value("serve.requests.rejected", oc.rejected);

@@ -234,7 +234,6 @@ void ServeScheduler::clamp_idle_service() {
     if (!holds[i]) service_[i] = std::max(service_[i], floor);
 }
 
-
 RequestStats& ServeScheduler::open_record(int id) {
   const auto it = open_.find(id);
   check_arg(it != open_.end(), "ServeScheduler: unknown request id");
@@ -890,22 +889,29 @@ OutcomeCounts ServeScheduler::outcomes() const {
   return c;
 }
 
+LatencySummary served_latency(const ServeScheduler& scheduler) {
+  std::vector<double> latencies;
+  for (const RequestStats& r : scheduler.finished())
+    if (r.outcome == RequestOutcome::kCompleted)
+      latencies.push_back(r.finish_s - r.arrival_s);
+  return summarize_latency(std::move(latencies));
+}
+
 ServedSummary summarize_served(const ServeScheduler& scheduler,
                                double makespan_s) {
   ServedSummary s;
   std::int64_t tokens_out = 0;
-  std::vector<double> latencies, queue_delays, prefills;
+  std::vector<double> queue_delays, prefills;
   for (const RequestStats& r : scheduler.finished()) {
     if (r.outcome != RequestOutcome::kCompleted) continue;
     ++s.completed;
     tokens_out += r.gen_tokens;
-    latencies.push_back(r.finish_s - r.arrival_s);
     queue_delays.push_back(r.queue_delay_s);
     prefills.push_back(r.prefill_s);
   }
   s.throughput_tokens_per_s =
       makespan_s > 0.0 ? static_cast<double>(tokens_out) / makespan_s : 0.0;
-  s.latency = summarize_latency(std::move(latencies));
+  s.latency = served_latency(scheduler);
   s.queue_delay = summarize_latency(std::move(queue_delays));
   s.prefill = summarize_latency(std::move(prefills));
   s.outcomes = scheduler.outcomes();

@@ -502,4 +502,8 @@ struct ServedSummary {
 ServedSummary summarize_served(const ServeScheduler& scheduler,
                                double makespan_s);
 
+/// ServedSummary::latency alone, for the periodic metrics export that
+/// writes nothing else of the summary.
+LatencySummary served_latency(const ServeScheduler& scheduler);
+
 }  // namespace llmpq
