@@ -6,6 +6,13 @@
 // format_kernel_factor table in quant/scheme.cpp — re-run with --json and
 // re-bake both when the kernels change.
 //
+// A second table times single-row decode (m = 1, plus m = 2..4) on a
+// [4096 x 4096] projection whose weights exceed a core's L2 at every bit
+// width, for 4-, 8- and 16-bit per-channel matrices, through the fused
+// register kernel and the dequantize-to-scratch kernel. Its b16/b4 and
+// b16/b8 time ratios are gated too: fewer bits must decode faster once
+// the weights come from memory, the paper's central trade-off.
+//
 // Kernels are driven directly (qgemm_rows_kernel, single thread) so the
 // measurement isolates SIMD gain from thread-pool scaling.
 //
@@ -21,6 +28,7 @@
 #include "common/json_writer.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "quant/format.hpp"
 #include "quant/qgemm_kernels.hpp"
 #include "quant/quantize.hpp"
@@ -36,6 +44,22 @@ std::vector<float> random_values(std::size_t n, std::uint64_t seed,
   for (float& x : v) x = scale * static_cast<float>(rng.normal());
   return v;
 }
+
+// One row of the decode table (per-channel format).
+struct DecodeCell {
+  int bits;
+  SimdLevel dispatch;
+  std::size_t m;
+  bool fused;
+  double ms_per_call;
+  double gbps;  // weight bytes streamed per second
+};
+
+struct Ratio {
+  std::string name;
+  SimdLevel dispatch;
+  double ratio;
+};
 
 struct Cell {
   int bits;
@@ -62,6 +86,75 @@ double time_ms(QgemmRowsFn fn, const std::vector<float>& x, std::size_t m,
     if (ms >= min_ms || reps >= (1 << 20)) return ms / reps;
     reps = ms <= 0.0 ? reps * 8 : reps * 2;
   }
+}
+
+// The decode table: every vector level, bits {4, 8, 16}, m 1..4, fused
+// and unfused kernels; returns the b16/bN time ratios of the default
+// (fused) m = 1 kernel.
+std::vector<Ratio> bench_decode(const std::vector<SimdLevel>& levels,
+                                double min_ms,
+                                std::vector<DecodeCell>& cells) {
+  const std::size_t k = 4096, n = 4096;
+  std::vector<QuantizedMatrix> mats;
+  {
+    const auto w = random_values(n * k, 12, 0.05f);
+    for (const int bits : {4, 8, 16}) {
+      Rng rng(13);
+      mats.push_back(QuantizedMatrix::quantize(
+          w, n, k, bits, Rounding::kDeterministic, rng));
+    }
+  }
+  const auto x = random_values(4 * k, 11, 1.0f);
+  std::vector<float> y(4 * n), scratch(k);
+
+  std::printf("\nsingle-row decode, x[m x %zu] * W^T[%zu x %zu], "
+              "per-channel\n\n",
+              k, n, k);
+  std::printf("%5s %8s %2s %8s %10s %8s\n", "bits", "dispatch", "m", "path",
+              "ms/call", "GB/s");
+  std::vector<Ratio> ratios;
+  for (const SimdLevel level : levels) {
+    if (level == SimdLevel::kScalar) continue;
+    for (std::size_t b = 0; b < mats.size(); ++b) {
+      const QuantizedMatrix& qw = mats[b];
+      for (std::size_t m = 1; m <= 4; ++m) {
+        for (const bool fused : {true, false}) {
+          const QgemmRowsFn fn = fused ? qgemm_rows_kernel(level)
+                                       : qgemm_rows_unfused_kernel(level);
+          const double ms = time_ms(fn, x, m, k, qw, y, scratch, min_ms);
+          DecodeCell c;
+          c.bits = qw.bits();
+          c.dispatch = level;
+          c.m = m;
+          c.fused = fused;
+          c.ms_per_call = ms;
+          c.gbps = static_cast<double>(qw.packed_bytes()) / (ms * 1e6);
+          cells.push_back(c);
+          std::printf("%5d %8s %2zu %8s %10.3f %8.2f\n", c.bits,
+                      simd_level_name(level), m,
+                      fused ? "fused" : "unfused", ms, c.gbps);
+        }
+      }
+    }
+    // The gated ratios: m = 1 through the default kernel, the three widths
+    // timed in turn over several rounds and each taken at its median, so
+    // a burst of host noise lands on one round of every width instead of
+    // on one width.
+    std::vector<double> rounds[3];
+    for (int round = 0; round < 5; ++round)
+      for (std::size_t b = 0; b < mats.size(); ++b)
+        rounds[b].push_back(time_ms(qgemm_rows_kernel(level), x, 1, k,
+                                    mats[b], y, scratch, min_ms));
+    double m1_ms[3];
+    for (std::size_t b = 0; b < mats.size(); ++b)
+      m1_ms[b] = percentile(rounds[b], 50.0);
+    ratios.push_back({"b16/b4", level, m1_ms[2] / m1_ms[0]});
+    ratios.push_back({"b16/b8", level, m1_ms[2] / m1_ms[1]});
+    std::printf("  %s m=1: b16/b4 %.2fx  b16/b8 %.2fx\n",
+                simd_level_name(level), m1_ms[2] / m1_ms[0],
+                m1_ms[2] / m1_ms[1]);
+  }
+  return ratios;
 }
 
 }  // namespace
@@ -115,6 +208,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<DecodeCell> decode_cells;
+  const std::vector<Ratio> ratios =
+      bench_decode(levels, min_ms, decode_cells);
+
   if (const auto json_path = args.get("json")) {
     std::ofstream os(*json_path);
     if (!os) {
@@ -138,6 +235,29 @@ int main(int argc, char** argv) {
       jw.kv("ms_per_call", c.ms_per_call);
       jw.kv("gflops", c.gflops);
       jw.kv("speedup_vs_scalar", c.speedup_vs_scalar);
+      jw.end_object();
+    }
+    jw.end_array();
+    jw.key("decode_rows");
+    jw.begin_array();
+    for (const DecodeCell& c : decode_cells) {
+      jw.begin_object();
+      jw.kv("bits", c.bits);
+      jw.kv("dispatch", simd_level_name(c.dispatch));
+      jw.kv("m", static_cast<std::int64_t>(c.m));
+      jw.kv("path", c.fused ? "fused" : "unfused");
+      jw.kv("ms_per_call", c.ms_per_call);
+      jw.kv("gbps", c.gbps);
+      jw.end_object();
+    }
+    jw.end_array();
+    jw.key("ratios");
+    jw.begin_array();
+    for (const Ratio& r : ratios) {
+      jw.begin_object();
+      jw.kv("name", r.name);
+      jw.kv("dispatch", simd_level_name(r.dispatch));
+      jw.kv("ratio", r.ratio);
       jw.end_object();
     }
     jw.end_array();

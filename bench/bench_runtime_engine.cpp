@@ -4,18 +4,26 @@
 // busy/idle split, qgemm/attention breakdown, inbox high-water marks and
 // per-phase tokens/s. Also times the threaded qgemm kernel against the
 // single-threaded seed kernel on a serving-sized layer so the speedup on a
-// multi-core host is visible in isolation.
+// multi-core host is visible in isolation, and one ThreadPool::parallel_for
+// round trip of decode size (16 blocks, ~20 us of work in total) — the
+// fork/join a threaded decode projection pays on top of its kernel work.
 //
 // Flags:
 //   --json PATH    write the measurements as "llmpq-metrics/v1" JSON
 //   --trace PATH   record the engine's stage/qgemm/attention spans as
 //                  Chrome trace JSON (chrome://tracing / ui.perfetto.dev)
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/args.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "quant/qgemm.hpp"
@@ -59,6 +67,63 @@ void bench_qgemm_kernel(MetricsRegistry& metrics) {
     metrics.set_value(prefix + "serial_ms", serial_ms);
     metrics.set_value(prefix + "threaded_ms", threaded_ms);
   }
+}
+
+// A dependent multiply-add chain the compiler cannot shorten: `iters`
+// steps of busy work for one parallel_for block.
+std::uint64_t busy_work(std::uint64_t iters, std::uint64_t v) {
+  for (std::uint64_t i = 0; i < iters; ++i)
+    v = v * 6364136223846793005ULL + 1442695040888963407ULL;
+  return v;
+}
+
+void bench_parallel_for(MetricsRegistry& metrics) {
+  constexpr std::size_t kBlocks = 16;
+  constexpr double kWorkUs = 20.0;
+  std::atomic<std::uint64_t> sink{0};
+  // Calibrate the per-block step count so the 16 blocks take ~20 us run
+  // back to back on one thread.
+  std::uint64_t iters = 1000;
+  double serial_us = 0.0;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<double> samples;
+    for (int rep = 0; rep < 200; ++rep) {
+      StopwatchNs sw;
+      for (std::size_t b = 0; b < kBlocks; ++b)
+        sink.fetch_add(busy_work(iters, b), std::memory_order_relaxed);
+      samples.push_back(static_cast<double>(sw.elapsed_ns()) / 1e3);
+    }
+    serial_us = percentile(samples, 50.0);
+    iters = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(static_cast<double>(iters) * kWorkUs /
+                                      std::max(serial_us, 1e-3)));
+  }
+  ThreadPool& pool = ThreadPool::shared();
+  // p50 / p90 of 2000 back-to-back calls with `block_iters` steps a block.
+  const auto round_trip = [&](std::uint64_t block_iters) {
+    std::vector<double> samples;
+    for (int rep = 0; rep < 2000; ++rep) {
+      StopwatchNs sw;
+      pool.parallel_for(kBlocks, [&](std::size_t b) {
+        sink.fetch_add(busy_work(block_iters, b), std::memory_order_relaxed);
+      });
+      samples.push_back(static_cast<double>(sw.elapsed_ns()) / 1e3);
+    }
+    return std::make_pair(percentile(samples, 50.0), percentile(samples, 90.0));
+  };
+  const auto [p50, p90] = round_trip(iters);
+  // Empty blocks: the fixed fork/join cost that qgemm's
+  // kParallelWorkThreshold is derived from.
+  const auto [empty_p50, empty_p90] = round_trip(0);
+  std::printf("\nparallel_for round trip, %zu blocks, pool size %zu:\n"
+              "  %.1f us of work serially: p50 %.1f us  p90 %.1f us\n"
+              "  empty blocks:            p50 %.1f us  p90 %.1f us\n",
+              kBlocks, pool.size(), serial_us, p50, p90, empty_p50,
+              empty_p90);
+  metrics.set_value("pool.parallel_for_work_us", serial_us);
+  metrics.set_value("pool.parallel_for_us_p50", p50);
+  metrics.set_value("pool.parallel_for_us_p90", p90);
+  metrics.set_value("pool.parallel_for_empty_us_p50", empty_p50);
 }
 
 void bench_engine(MetricsRegistry& metrics) {
@@ -116,6 +181,7 @@ int main(int argc, char** argv) {
 
   MetricsRegistry metrics;
   bench_qgemm_kernel(metrics);
+  bench_parallel_for(metrics);
   bench_engine(metrics);
 
   int rc = 0;

@@ -45,7 +45,10 @@ requires the fresh measurement to clear it. Speedup ratios are
 machine-portable (both kernels run back to back on the same box), which is
 what makes a wall-clock bench gateable at all. Baseline cells whose
 dispatch level the host lacks (e.g. avx512 on an AVX2-only runner) are
-skipped, so one committed baseline serves the whole CI matrix.
+skipped, so one committed baseline serves the whole CI matrix. The
+baseline's `ratio_floors` (`min_ratio` per (name, dispatch), e.g. the
+single-row decode time ratio b16/b4) gate the artifact's `ratios` the same
+way.
 
 Stdlib only. Exit codes: 0 pass, 1 regression, 2 usage/bad input.
 """
@@ -75,8 +78,9 @@ def load(path, schema=SCHEMA):
 
 def check_kernels(baseline_path, current_path):
     """Gate kernel speedups: measured speedup_vs_scalar >= baseline floor
-    per (bits, format, dispatch); cells absent from the current artifact
-    (dispatch level not available on this host) are skipped."""
+    per (bits, format, dispatch), and each decode time ratio >= its
+    ratio_floors entry per (name, dispatch); cells absent from the current
+    artifact (dispatch level not available on this host) are skipped."""
     base = load(baseline_path, KERNELS_SCHEMA)
     cur = load(current_path, KERNELS_SCHEMA)
     cur_rows = {
@@ -88,6 +92,28 @@ def check_kernels(baseline_path, current_path):
 
     failures = []
     checked = skipped = 0
+    cur_ratios = {
+        (r.get("name"), r.get("dispatch")): r.get("ratio")
+        for r in cur.get("ratios", [])
+    }
+    for row in base.get("ratio_floors", []):
+        key = (row.get("name"), row.get("dispatch"))
+        label = "{} ({})".format(*key)
+        floor = row.get("min_ratio")
+        if not isinstance(floor, (int, float)):
+            failures.append(f"{label}: baseline floor is not numeric")
+            continue
+        if key not in cur_ratios:
+            skipped += 1  # dispatch level unavailable on this host
+            continue
+        got = cur_ratios[key]
+        if not isinstance(got, (int, float)):
+            failures.append(f"{label}: ratio is not numeric")
+        elif got < floor:
+            failures.append(
+                f"{label}: time ratio {got:.2f}x below floor {floor:.2f}x"
+            )
+        checked += 1
     for row in base["rows"]:
         key = (row.get("bits"), row.get("format"), row.get("dispatch"))
         label = "{}b/{}/{}".format(*key)

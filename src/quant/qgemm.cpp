@@ -11,9 +11,15 @@ namespace llmpq {
 
 namespace {
 
-/// Below this many multiply-accumulates the fork/join overhead of the pool
-/// outweighs the parallel speedup; measured on small CPU hosts.
-constexpr std::size_t kParallelWorkThreshold = 64 * 1024;
+/// Below this many multiply-accumulates a call runs inline: the pool's
+/// fork/join would cost more than it saves. Derived from the fixed
+/// fork/join cost C (bench_runtime_engine's empty 16-block parallel_for:
+/// p50 1.7 us on a 4-core AVX-512 VM), the fastest fused kernel's time per
+/// MAC t (~0.09 ns at decode shapes, bench_ext_qgemm_kernels) and P = 5
+/// participants (4 workers + the caller): fanning out pays once
+/// W * t * (1 - 1/P) > C, i.e. W > ~24k MACs. Rounded up to 32k, where
+/// a direct inline-vs-pooled sweep of m = 1 projections crosses over.
+constexpr std::size_t kParallelWorkThreshold = 32 * 1024;
 
 void check_qgemm_args(std::span<const float> x, std::size_t m,
                       std::size_t cols, const QuantizedMatrix& w,
@@ -23,6 +29,14 @@ void check_qgemm_args(std::span<const float> x, std::size_t m,
   check_arg(y.size() == m * w.rows(), "qgemm: y size mismatch");
   check_arg(bias.empty() || bias.size() == w.rows(),
             "qgemm: bias size mismatch");
+}
+
+/// This thread's dequantized-row scratch, grown to `cols` on demand: no
+/// heap allocation per call once a thread has seen its widest matrix.
+float* scratch_row(std::size_t cols) {
+  thread_local std::vector<float> scratch;
+  if (scratch.size() < cols) scratch.resize(cols);
+  return scratch.data();
 }
 
 }  // namespace
@@ -52,8 +66,8 @@ void qgemm(std::span<const float> x, std::size_t m, std::size_t cols,
   ThreadPool& pool = ThreadPool::shared();
   if (pool.size() <= 1 || ThreadPool::inside_worker() ||
       m * cols * rows < kParallelWorkThreshold) {
-    std::vector<float> scratch(cols);
-    kernel(x.data(), m, cols, w, bias_ptr, y.data(), 0, rows, scratch.data());
+    kernel(x.data(), m, cols, w, bias_ptr, y.data(), 0, rows,
+           scratch_row(cols));
     return;
   }
   // Output-channel blocks: disjoint writes, no synchronization inside the
@@ -61,13 +75,11 @@ void qgemm(std::span<const float> x, std::size_t m, std::size_t cols,
   const std::size_t blocks = std::min(rows, pool.size() * 4);
   const std::size_t per = (rows + blocks - 1) / blocks;
   pool.parallel_for(blocks, [&](std::size_t blk) {
-    thread_local std::vector<float> scratch;
-    if (scratch.size() < cols) scratch.resize(cols);
     const std::size_t r0 = blk * per;
     const std::size_t r1 = std::min(rows, r0 + per);
     if (r0 < r1)
       kernel(x.data(), m, cols, w, bias_ptr, y.data(), r0, r1,
-             scratch.data());
+             scratch_row(cols));
   });
 }
 

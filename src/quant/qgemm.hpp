@@ -14,14 +14,18 @@ namespace llmpq {
 ///
 /// This is the CPU "weight-only kernel": each output channel is dequantized
 /// once per call and accumulated in fp32. The row microkernel is picked at
-/// runtime (scalar / AVX2 / AVX-512 — see quant/qgemm_kernels.hpp); work
-/// is partitioned over output-channel blocks across the shared ThreadPool
-/// when the problem is large enough to amortize the fork/join (small
-/// problems and single-core hosts run one kernel call inline). Every
-/// output element is produced by exactly one task, so results are
-/// bit-for-bit identical regardless of thread count at a fixed dispatch
-/// level; across levels the dequantization is bit-identical and only the
-/// dot-product accumulation order differs (documented tolerance).
+/// runtime (scalar / AVX2 / AVX-512 — see quant/qgemm_kernels.hpp); at the
+/// vector levels, decode-sized calls (m <= 4) over 16-bit and per-channel
+/// 4/8-bit matrices take the fused register kernel, which needs no scratch
+/// row. Work is partitioned over output-channel blocks across the shared
+/// ThreadPool when the problem is large enough to amortize the fork/join
+/// (>= 32k MACs; smaller problems, calls from inside a pool worker and
+/// single-thread pools run one kernel call inline). Every output element
+/// is produced by exactly one task with one fixed operation sequence, so
+/// results are bit-for-bit identical regardless of thread count, m, or
+/// fused vs unfused path at a fixed dispatch level; across levels the
+/// dequantization is bit-identical and only the dot-product accumulation
+/// order differs (documented tolerance).
 void qgemm(std::span<const float> x, std::size_t m, std::size_t cols,
            const QuantizedMatrix& w, std::span<const float> bias,
            std::span<float> y);

@@ -13,4 +13,16 @@ void qgemm_rows_avx2(const float* x, std::size_t m, std::size_t cols,
   qgemm_rows_impl(x, m, cols, w, bias, y, r0, r1, scratch);
 }
 
+void qgemm_rows_avx2_unfused(const float* x, std::size_t m, std::size_t cols,
+                             const QuantizedMatrix& w, const float* bias,
+                             float* y, std::size_t r0, std::size_t r1,
+                             float* scratch) {
+  qgemm_rows_unfused_impl(x, m, cols, w, bias, y, r0, r1, scratch);
+}
+
+void f32_rows_avx2(const float* x, std::size_t m, std::size_t cols,
+                   const float* w, std::size_t rows, float* y) {
+  f32_rows_impl(x, m, cols, w, rows, y);
+}
+
 }  // namespace llmpq

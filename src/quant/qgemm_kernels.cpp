@@ -125,6 +125,53 @@ QgemmRowsFn qgemm_rows_kernel(SimdLevel level) {
   }
 }
 
+QgemmRowsFn qgemm_rows_unfused_kernel(SimdLevel level) {
+  switch (clamp_to_available(level)) {
+#if defined(LLMPQ_HAVE_AVX512)
+    case SimdLevel::kAvx512:
+      return &qgemm_rows_avx512_unfused;
+#endif
+#if defined(LLMPQ_HAVE_AVX2)
+    case SimdLevel::kAvx2:
+      return &qgemm_rows_avx2_unfused;
+#endif
+    default:
+      return &qgemm_rows_scalar;
+  }
+}
+
+namespace {
+
+void f32_rows_scalar(const float* x, std::size_t m, std::size_t cols,
+                     const float* w, std::size_t rows, float* y) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* xi = x + i * cols;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* wr = w + r * cols;
+      float acc = 0.0f;
+      for (std::size_t c = 0; c < cols; ++c) acc += xi[c] * wr[c];
+      y[i * rows + r] = acc;
+    }
+  }
+}
+
+}  // namespace
+
+F32RowsFn f32_rows_kernel(SimdLevel level) {
+  switch (clamp_to_available(level)) {
+#if defined(LLMPQ_HAVE_AVX512)
+    case SimdLevel::kAvx512:
+      return &f32_rows_avx512;
+#endif
+#if defined(LLMPQ_HAVE_AVX2)
+    case SimdLevel::kAvx2:
+      return &f32_rows_avx2;
+#endif
+    default:
+      return &f32_rows_scalar;
+  }
+}
+
 void qgemm_rows_scalar(const float* x, std::size_t m, std::size_t cols,
                        const QuantizedMatrix& w, const float* bias, float* y,
                        std::size_t r0, std::size_t r1, float* scratch) {

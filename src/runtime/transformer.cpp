@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/trace.hpp"
 #include "quant/qgemm.hpp"
+#include "quant/qgemm_kernels.hpp"
 
 namespace llmpq {
 
@@ -296,14 +297,20 @@ std::vector<TokenId> project_and_sample(const ModelWeights& mw,
     rms_norm(last, mw.final_gamma);
   else
     layer_norm(last, mw.final_gamma, mw.final_beta);
+  // Tied-embedding logits through the dispatched fp32 row kernel (the
+  // 16-bit qgemm path); the runtime and reference_generate both sample
+  // here, so their tokens agree at every dispatch level.
+  std::vector<float> logits(seqs * vocab);
+  f32_rows_kernel(active_simd_level())(last.row(0), seqs, h,
+                                       mw.token_embedding.data(), vocab,
+                                       logits.data());
   for (std::size_t s = 0; s < seqs; ++s) {
-    const float* v = last.row(s);
+    const float* row = logits.data() + s * vocab;
     std::size_t best = 0;
     float best_logit = -1e30f;
     for (std::size_t tok = 0; tok < vocab; ++tok) {
-      const float* te = mw.token_embedding.data() + tok * h;
-      float logit = 0.0f;
-      for (std::size_t c = 0; c < h; ++c) logit += v[c] * te[c];
+      // Strict >: the lowest index wins a tie.
+      const float logit = row[tok];
       if (logit > best_logit) {
         best_logit = logit;
         best = tok;

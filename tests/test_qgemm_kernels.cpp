@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
@@ -227,6 +228,76 @@ TEST(QgemmKernels, PublicEntryDispatchesPinnedLevel) {
     run_kernel(level, x, m, k, q, bias, y_direct);
     for (std::size_t i = 0; i < y_api.size(); ++i) {
       EXPECT_EQ(y_api[i], y_direct[i]) << simd_level_name(level);
+    }
+  }
+}
+
+// ---- The fused small-m path must reproduce the unfused kernel bit for
+// bit at every level: any m, cols with every kind of tail (not a multiple
+// of the 32-column block), odd row ranges, and rows outside [r0, r1)
+// left untouched. Row i of an m-row call must also equal the m = 1 call
+// on that row alone — the property that keeps the runtime's small-m
+// decode tokens equal to reference_generate's full-group calls.
+TEST(QgemmKernels, FusedMatchesUnfusedBitForBit) {
+  const std::size_t n = 13;
+  const float sentinel = -7.25f;
+  for (SimdLevel level : available_levels()) {
+    const QgemmRowsFn fused = qgemm_rows_kernel(level);
+    const QgemmRowsFn unfused = qgemm_rows_unfused_kernel(level);
+    for (int bits : {4, 8, 16}) {
+      for (std::size_t k : {std::size_t{40}, std::size_t{264},
+                            std::size_t{1000}, std::size_t{23}}) {
+        Rng rng(300 + static_cast<std::uint64_t>(bits) + k);
+        const auto w = random_vec(n * k, rng, 0.05f);
+        const auto bias = random_vec(n, rng, 0.1f);
+        const QuantizedMatrix q = QuantizedMatrix::quantize(
+            w, n, k, bits, Rounding::kDeterministic, rng);
+        std::vector<float> scratch(k);
+        for (std::size_t m = 1; m <= 5; ++m) {
+          const auto x = random_vec(m * k, rng, 1.0f);
+          for (const auto& [r0, r1] :
+               {std::pair<std::size_t, std::size_t>{0, n},
+                {1, 12}, {3, 4}, {5, 13}, {2, 9}}) {
+            std::vector<float> y_f(m * n, sentinel), y_u(m * n, sentinel);
+            fused(x.data(), m, k, q, bias.data(), y_f.data(), r0, r1,
+                  scratch.data());
+            unfused(x.data(), m, k, q, bias.data(), y_u.data(), r0, r1,
+                    scratch.data());
+            EXPECT_EQ(std::memcmp(y_f.data(), y_u.data(),
+                                  y_f.size() * sizeof(float)),
+                      0)
+                << simd_level_name(level) << " bits=" << bits << " k=" << k
+                << " m=" << m << " rows [" << r0 << ", " << r1 << ")";
+            for (std::size_t i = 0; i < m; ++i) {
+              std::vector<float> y1(n, sentinel);
+              fused(x.data() + i * k, 1, k, q, bias.data(), y1.data(), r0,
+                    r1, scratch.data());
+              EXPECT_EQ(std::memcmp(y1.data(), y_f.data() + i * n,
+                                    n * sizeof(float)),
+                        0)
+                  << simd_level_name(level) << " bits=" << bits
+                  << " k=" << k << " m=" << m << " row " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QgemmKernels, FusedPathCoversDecodeFormatsOnly) {
+  Rng rng(5);
+  const auto w = random_vec(4 * 64, rng, 0.05f);
+  for (int bits : {3, 4, 8, 16}) {
+    for (QuantFormat format : kQuantFormats) {
+      const QuantizedMatrix q = QuantizedMatrix::quantize(
+          w, 4, 64, bits, Rounding::kDeterministic, rng, format);
+      const bool decode_format =
+          bits == 16 || (bits != 3 && format == QuantFormat::kPerChannel);
+      EXPECT_EQ(qgemm_fused_applies(q, 1), decode_format)
+          << bits << " " << quant_format_name(format);
+      EXPECT_EQ(qgemm_fused_applies(q, kQgemmFusedMaxM), decode_format);
+      EXPECT_FALSE(qgemm_fused_applies(q, kQgemmFusedMaxM + 1));
     }
   }
 }
