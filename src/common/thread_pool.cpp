@@ -100,12 +100,11 @@ void bind_to_cpu(int cpu) {
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  // Worker i is bound to the i-th allowed CPU (round-robin). A condvar
-  // wake may place the woken thread on its waker's core; on hosts that do
-  // so (virtualized ones whose idle vCPUs look busy to the guest
-  // scheduler) every worker woken by one caller piles onto the caller's
-  // core and the fork/join runs serially. Bound, each worker wakes on its
-  // own core.
+  // Worker i is bound to the i-th allowed CPU (round-robin). The kernel
+  // may place a thread woken through a condvar on its waker's core; on
+  // the 4-core VM this pool was measured on, every worker woken by one
+  // caller piled onto the caller's core and the fork/join ran serially.
+  // Bound, each worker wakes on its own core.
   const std::vector<int> cpus = allowed_cpus();
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {

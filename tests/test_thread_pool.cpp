@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -70,10 +72,8 @@ TEST(ThreadPoolStress, MoreCallersThanBoardSlotsStillComplete) {
 TEST(ThreadPoolStress, NestedParallelForFromBody) {
   ThreadPool pool(4);
   std::atomic<int> bad{0};
-  std::atomic<int> inner_in_worker{0};
   for (int r = 0; r < 20; ++r) {
     pool.parallel_for(8, [&](std::size_t) {
-      if (ThreadPool::inside_worker()) ++inner_in_worker;
       if (covered_sum(pool, 33) != 33 * 32 / 2) ++bad;
     });
   }
@@ -113,7 +113,8 @@ TEST(ThreadPoolStress, ParkedWorkersWakeForTheNextJob) {
   std::this_thread::sleep_for(ThreadPool::kWorkerSpin * 20);
   std::mutex mu;
   std::set<std::thread::id> ids;
-  pool.parallel_for(16, [&](std::size_t) {
+  // 64 ms of sleeping blocks: ample time for a woken worker to join.
+  pool.parallel_for(32, [&](std::size_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     std::lock_guard<std::mutex> lock(mu);
     ids.insert(std::this_thread::get_id());
