@@ -13,8 +13,14 @@
 // b16/b8 time ratios are gated too: fewer bits must decode faster once
 // the weights come from memory, the paper's central trade-off.
 //
-// Kernels are driven directly (qgemm_rows_kernel, single thread) so the
-// measurement isolates SIMD gain from thread-pool scaling.
+// A third table times the attention kernel at decode shape: one query row
+// over 8 heads, dh in {32, 128}, span in {64, 512} cached positions. Its
+// scalar/level time ratios are gated: a regression to scalar speed, or a
+// vector edit that breaks vectorization, shows there.
+//
+// Kernels are driven directly (qgemm_rows_kernel, attention_head_kernel,
+// single thread) so the measurement isolates SIMD gain from thread-pool
+// scaling.
 //
 // Flags:
 //   --json PATH   write a "llmpq-kernels/v1" artifact
@@ -32,6 +38,7 @@
 #include "quant/format.hpp"
 #include "quant/qgemm_kernels.hpp"
 #include "quant/quantize.hpp"
+#include "runtime/attention.hpp"
 
 namespace {
 
@@ -61,6 +68,15 @@ struct Ratio {
   double ratio;
 };
 
+// One row of the attention table.
+struct AttnCell {
+  SimdLevel dispatch;
+  std::size_t dh;
+  std::size_t span;
+  double ms_per_call;  // all 8 heads of one query row
+  double speedup_vs_scalar;
+};
+
 struct Cell {
   int bits;
   QuantFormat format;
@@ -70,22 +86,30 @@ struct Cell {
   double speedup_vs_scalar;
 };
 
-// Median-of-reps wall time of one full [m x k] * W^T[n x k] pass.
-double time_ms(QgemmRowsFn fn, const std::vector<float>& x, std::size_t m,
-               std::size_t k, const QuantizedMatrix& w, std::vector<float>& y,
-               std::vector<float>& scratch, double min_ms) {
-  // Warm up, then grow the repetition count until the batch is long
-  // enough to be timer-noise-free.
-  fn(x.data(), m, k, w, nullptr, y.data(), 0, w.rows(), scratch.data());
+// Wall time of one call of `fn`: warmed up, then timed over a repetition
+// count grown until the batch is long enough to be timer-noise-free.
+template <typename Fn>
+double time_call_ms(Fn&& fn, double min_ms) {
+  fn();
   int reps = 1;
   for (;;) {
     StopwatchNs sw;
-    for (int i = 0; i < reps; ++i)
-      fn(x.data(), m, k, w, nullptr, y.data(), 0, w.rows(), scratch.data());
+    for (int i = 0; i < reps; ++i) fn();
     const double ms = static_cast<double>(sw.elapsed_ns()) / 1e6;
     if (ms >= min_ms || reps >= (1 << 20)) return ms / reps;
     reps = ms <= 0.0 ? reps * 8 : reps * 2;
   }
+}
+
+// Wall time of one full [m x k] * W^T[n x k] pass.
+double time_ms(QgemmRowsFn fn, const std::vector<float>& x, std::size_t m,
+               std::size_t k, const QuantizedMatrix& w, std::vector<float>& y,
+               std::vector<float>& scratch, double min_ms) {
+  return time_call_ms(
+      [&] {
+        fn(x.data(), m, k, w, nullptr, y.data(), 0, w.rows(), scratch.data());
+      },
+      min_ms);
 }
 
 // The decode table: every vector level, bits {4, 8, 16}, m 1..4, fused
@@ -157,6 +181,52 @@ std::vector<Ratio> bench_decode(const std::vector<SimdLevel>& levels,
   return ratios;
 }
 
+// The attention table: every level, one decode row over 8 heads; returns
+// the gated scalar/level time ratios.
+std::vector<Ratio> bench_attention(const std::vector<SimdLevel>& levels,
+                                   double min_ms,
+                                   std::vector<AttnCell>& cells) {
+  const std::size_t heads = 8, max_span = 512;
+  std::printf("\nattention, one query row x %zu heads\n\n", heads);
+  std::printf("%4s %5s %8s %10s %9s\n", "dh", "span", "dispatch", "ms/call",
+              "vs scalar");
+  std::vector<Ratio> ratios;
+  for (const std::size_t dh : {std::size_t{32}, std::size_t{128}}) {
+    const std::size_t h = heads * dh;
+    const auto k = random_values(max_span * h, 21, 1.0f);
+    const auto v = random_values(max_span * h, 22, 1.0f);
+    const auto q = random_values(h, 23, 1.0f);
+    std::vector<const float*> k_rows(max_span), v_rows(max_span);
+    for (std::size_t p = 0; p < max_span; ++p) {
+      k_rows[p] = k.data() + p * h;
+      v_rows[p] = v.data() + p * h;
+    }
+    std::vector<float> out(h), scores(max_span);
+    for (const std::size_t span : {std::size_t{64}, max_span}) {
+      double scalar_ms = 0.0;
+      for (const SimdLevel level : levels) {
+        const AttentionHeadFn fn = attention_head_kernel(level);
+        const double ms = time_call_ms(
+            [&] {
+              for (std::size_t head = 0; head < heads; ++head)
+                fn(q.data() + head * dh, k_rows.data(), v_rows.data(),
+                   head * dh, span, dh, scores.data(), out.data() + head * dh);
+            },
+            min_ms);
+        if (level == SimdLevel::kScalar) scalar_ms = ms;
+        cells.push_back({level, dh, span, ms, scalar_ms / ms});
+        std::printf("%4zu %5zu %8s %10.4f %8.2fx\n", dh, span,
+                    simd_level_name(level), ms, scalar_ms / ms);
+        if (level != SimdLevel::kScalar)
+          ratios.push_back({"attn dh=" + std::to_string(dh) + " span=" +
+                                std::to_string(span) + " scalar/level",
+                            level, scalar_ms / ms});
+      }
+    }
+  }
+  return ratios;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -209,8 +279,10 @@ int main(int argc, char** argv) {
   }
 
   std::vector<DecodeCell> decode_cells;
-  const std::vector<Ratio> ratios =
-      bench_decode(levels, min_ms, decode_cells);
+  std::vector<Ratio> ratios = bench_decode(levels, min_ms, decode_cells);
+  std::vector<AttnCell> attn_cells;
+  for (Ratio& r : bench_attention(levels, min_ms, attn_cells))
+    ratios.push_back(std::move(r));
 
   if (const auto json_path = args.get("json")) {
     std::ofstream os(*json_path);
@@ -248,6 +320,18 @@ int main(int argc, char** argv) {
       jw.kv("path", c.fused ? "fused" : "unfused");
       jw.kv("ms_per_call", c.ms_per_call);
       jw.kv("gbps", c.gbps);
+      jw.end_object();
+    }
+    jw.end_array();
+    jw.key("attention_rows");
+    jw.begin_array();
+    for (const AttnCell& c : attn_cells) {
+      jw.begin_object();
+      jw.kv("dispatch", simd_level_name(c.dispatch));
+      jw.kv("dh", static_cast<std::int64_t>(c.dh));
+      jw.kv("span", static_cast<std::int64_t>(c.span));
+      jw.kv("ms_per_call", c.ms_per_call);
+      jw.kv("speedup_vs_scalar", c.speedup_vs_scalar);
       jw.end_object();
     }
     jw.end_array();

@@ -47,8 +47,8 @@ what makes a wall-clock bench gateable at all. Baseline cells whose
 dispatch level the host lacks (e.g. avx512 on an AVX2-only runner) are
 skipped, so one committed baseline serves the whole CI matrix. The
 baseline's `ratio_floors` (`min_ratio` per (name, dispatch), e.g. the
-single-row decode time ratio b16/b4) gate the artifact's `ratios` the same
-way.
+single-row decode time ratio b16/b4, or the attention kernel's
+scalar/level time ratio) gate the artifact's `ratios` the same way.
 
 Stdlib only. Exit codes: 0 pass, 1 regression, 2 usage/bad input.
 """

@@ -143,10 +143,10 @@ stage_bench() {
     --baseline bench/baselines/ext_multi_tenant.json \
     --current "${BUILD_DIR}/BENCH_ext_multi_tenant.json" \
     --floor-value 1/min-tenant/slo_attainment/0.95
-  # Dequant-GEMM kernel dispatch: wall-clock, but gated on the
-  # speedup-vs-scalar *ratio* (same box runs both kernels back to back),
-  # against committed floors far below the measured values. This is what
-  # catches a silent dispatch regression to the scalar path.
+  # Dequant-GEMM and attention kernel dispatch: wall-clock, but gated on
+  # the speedup-vs-scalar *ratio* (same box runs both kernels back to
+  # back), against committed floors far below the measured values. This is
+  # what catches a silent dispatch regression to the scalar path.
   "${BUILD_DIR}/bench/bench_ext_qgemm_kernels" \
     --json "${BUILD_DIR}/BENCH_ext_qgemm_kernels.json" > /dev/null
   python3 scripts/check_bench_regression.py --kind kernels \

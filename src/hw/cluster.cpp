@@ -58,7 +58,8 @@ ClusterSpec make_cluster(const std::string& name,
   for (const auto& [gpu_name, count] : gpus) {
     check_arg(count > 0, "make_cluster: non-positive GPU count");
     gpu_registry_get(gpu_name);  // validate name
-    for (int i = 0; i < count; ++i) c.devices.push_back({gpu_name, node});
+    for (int i = 0; i < count; ++i)
+      c.devices.push_back({gpu_name, node, nullptr});
     ++node;
   }
   check_arg(!c.devices.empty(), "make_cluster: empty cluster");

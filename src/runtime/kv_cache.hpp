@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -27,40 +28,34 @@ class KvCache {
   std::size_t max_seq() const { return max_seq_; }
   std::size_t hidden() const { return hidden_; }
 
+  // The accessors that index filled_ by sequence id are defined out of
+  // line (kv_cache.cpp): inlined into a caller that passes a constant
+  // out-of-range id, GCC's -Warray-bounds flags the read that the id check
+  // guards.
+
   /// Number of positions stored for sequence `b`.
-  std::size_t filled(std::size_t b) const {
-    check_arg(b < batch_, "KvCache::filled: sequence id out of range");
-    return filled_[b];
-  }
+  std::size_t filled(std::size_t b) const;
 
   /// Forgets every cached position while keeping the allocation — lets a
   /// persistent engine reuse its K/V buffers across generate() calls.
   void reset() { std::fill(filled_.begin(), filled_.end(), 0); }
 
   /// Appends one position's K/V vectors for sequence `b`.
-  void append(std::size_t b, const float* k_vec, const float* v_vec) {
-    check_arg(b < batch_, "KvCache::append: sequence id out of range");
-    check_arg(filled_[b] < max_seq_, "KvCache: overflow");
-    const std::size_t off = (b * max_seq_ + filled_[b]) * hidden_;
-    std::copy(k_vec, k_vec + hidden_, k_.begin() + static_cast<std::ptrdiff_t>(off));
-    std::copy(v_vec, v_vec + hidden_, v_.begin() + static_cast<std::ptrdiff_t>(off));
-    ++filled_[b];
-  }
+  void append(std::size_t b, const float* k_vec, const float* v_vec);
 
   /// K/V vector of sequence `b` at position `pos`. Only written positions
   /// are readable (`pos < filled(b)`): an out-of-range read would silently
   /// return zeros (or another sequence's entries), so it is rejected with
   /// the same check_arg contract append()/filled() follow.
-  const float* k_at(std::size_t b, std::size_t pos) const {
-    check_arg(b < batch_, "KvCache::k_at: sequence id out of range");
-    check_arg(pos < filled_[b], "KvCache::k_at: position not filled");
-    return k_.data() + (b * max_seq_ + pos) * hidden_;
-  }
-  const float* v_at(std::size_t b, std::size_t pos) const {
-    check_arg(b < batch_, "KvCache::v_at: sequence id out of range");
-    check_arg(pos < filled_[b], "KvCache::v_at: position not filled");
-    return v_.data() + (b * max_seq_ + pos) * hidden_;
-  }
+  const float* k_at(std::size_t b, std::size_t pos) const;
+  const float* v_at(std::size_t b, std::size_t pos) const;
+
+  /// Writes k_at(b, p) / v_at(b, p) to k_rows[p] / v_rows[p] for every
+  /// filled position p with one validation for the whole sequence (the
+  /// paged manager's gather, for the uniform layout). Both spans must hold
+  /// exactly filled(b) entries.
+  void gather(std::size_t b, std::span<const float*> k_rows,
+              std::span<const float*> v_rows) const;
 
   std::size_t footprint_bytes() const {
     return (k_.size() + v_.size()) * sizeof(float);

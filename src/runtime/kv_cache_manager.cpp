@@ -136,6 +136,22 @@ const float* KvCacheManager::v_at(int seq, std::size_t pos) const {
   return at(seq, pos, /*value=*/true, "v_at");
 }
 
+void KvCacheManager::gather(int seq, std::span<const float*> k_rows,
+                            std::span<const float*> v_rows) const {
+  const Seq& s = seq_at(seq, "gather");
+  check_arg(k_rows.size() == s.filled && v_rows.size() == s.filled,
+            "KvCacheManager::gather: spans must hold filled() entries");
+  const std::size_t ps = options_.page_size;
+  for (std::size_t p0 = 0; p0 < s.filled; p0 += ps) {
+    const float* page = pool_[s.pages[p0 / ps]].get();
+    const std::size_t n = std::min(ps, s.filled - p0);
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      k_rows[p0 + slot] = page + slot * hidden_;
+      v_rows[p0 + slot] = page + (ps + slot) * hidden_;
+    }
+  }
+}
+
 std::size_t KvCacheManager::preempt(int seq) {
   Seq& s = seq_at(seq, "preempt");
   check_arg(!s.pages.empty(),

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -84,6 +85,13 @@ class KvCacheManager {
   /// K/V vector of `seq` at position `pos` (`pos < filled(seq)`).
   const float* k_at(int seq, std::size_t pos) const;
   const float* v_at(int seq, std::size_t pos) const;
+
+  /// Writes k_at(seq, p) / v_at(seq, p) to k_rows[p] / v_rows[p] for every
+  /// filled position p, walking the page table once: one sequence lookup
+  /// for the whole context instead of one per position. Both spans must
+  /// hold exactly filled(seq) entries.
+  void gather(int seq, std::span<const float*> k_rows,
+              std::span<const float*> v_rows) const;
 
   /// Rolls `filled` back to `len` (<= filled), keeping the pages — the
   /// rollback primitive for a pipeline pass that died after some layers

@@ -8,6 +8,7 @@
 #include "common/trace.hpp"
 #include "quant/qgemm.hpp"
 #include "quant/qgemm_kernels.hpp"
+#include "runtime/attention.hpp"
 
 namespace llmpq {
 
@@ -49,23 +50,46 @@ std::vector<float> rope_inv_freqs(std::size_t dh) {
   return table;
 }
 
-void apply_rope(float* v, std::size_t dh, std::size_t pos,
-                const float* inv_freq) {
+namespace {
+
+/// cos/sin of position `pos`'s rotation angle for each of the dh/2 feature
+/// pairs: cs[i] and cs[half + i]. A token computes these once and rotates
+/// q and k of every head with them.
+void rope_angles(std::size_t dh, std::size_t pos, const float* inv_freq,
+                 float* cs) {
   const std::size_t half = dh / 2;
   for (std::size_t i = 0; i < half; ++i) {
     const float angle = static_cast<float>(pos) * inv_freq[i];
-    const float c = std::cos(angle), sn = std::sin(angle);
+    cs[i] = std::cos(angle);
+    cs[half + i] = std::sin(angle);
+  }
+}
+
+void rotate_pairs(float* v, std::size_t dh, const float* cs) {
+  const std::size_t half = dh / 2;
+  for (std::size_t i = 0; i < half; ++i) {
+    const float c = cs[i], sn = cs[half + i];
     const float a = v[i], b = v[i + half];
     v[i] = a * c - b * sn;
     v[i + half] = a * sn + b * c;
   }
 }
 
+}  // namespace
+
+void apply_rope(float* v, std::size_t dh, std::size_t pos,
+                const float* inv_freq) {
+  std::vector<float> cs(dh);
+  rope_angles(dh, pos, inv_freq, cs.data());
+  rotate_pairs(v, dh, cs.data());
+}
+
 /// Shared layer body for the uniform (KvCache, [batch, max_seq] slots) and
 /// ragged (KvCacheManager, per-sequence page tables) paths. `Cache` only
-/// needs filled/append/k_at/v_at; per-sequence K/V pointers are gathered
-/// once per sequence so the per-head inner loops cost the same for both
-/// backends (the paged lookup is a map find, not pointer arithmetic).
+/// needs filled/append/gather. Each sequence's K/V row pointers come from
+/// one gather call (KvCache: pointer arithmetic; KvCacheManager: one map
+/// find, then a walk of the page table), so the attention tasks read plain
+/// pointer arrays and never touch the cache.
 template <typename Cache>
 void layer_forward_core(const ModelSpec& spec, const LayerWeights& w,
                         Tensor2D& x, Cache& cache,
@@ -105,64 +129,61 @@ void layer_forward_core(const ModelSpec& spec, const LayerWeights& w,
   Tensor2D qkv(rows, 3 * h);
   timed_qgemm(normed.flat(), rows, h, w.qkv, w.qkv_bias, qkv.flat());
 
-  // Append K/V to the cache, then attend over everything cached. Each
-  // sequence attends only over its own filled positions — a ragged batch
-  // has no pad rows, so there is nothing wrong to attend to.
+  // Attention in two phases. Phase 1 (serial) rotates q/k, appends K/V to
+  // the cache and gathers each sequence's K/V row pointers. Phase 2
+  // (attend_rows) runs the rows x heads tasks, fanned out over the pool
+  // when large enough; it reads only those pointers. Each sequence attends
+  // only over its own filled positions — a ragged batch has no pad rows,
+  // so there is nothing wrong to attend to.
   std::optional<TraceSpan> attn_span;
   attn_span.emplace("engine", "attn", "rows", static_cast<double>(rows));
   if (metrics != nullptr) sw.restart();
-  Tensor2D attn_ctx(rows, h, 0.0f);
-  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
-  std::vector<float> scores;
-  std::vector<const float*> k_rows, v_rows;
+  Tensor2D attn_ctx(rows, h);
+  std::vector<float> rope_cs(spec.use_rope ? dh : 0);
+  std::vector<std::size_t> ctx_lens(spans.size());
+  std::size_t total_ctx = 0;
   std::size_t row_base = 0;
-  for (const SeqSpan& sp : spans) {
-    const auto sid = sp.seq;
-    for (std::size_t t = 0; t < sp.len; ++t) {
+  for (std::size_t s = 0; s < spans.size(); ++s) {
+    const auto sid = spans[s].seq;
+    const std::size_t start = cache.filled(sid);  // first new position
+    for (std::size_t t = 0; t < spans[s].len; ++t) {
       float* qkv_row = qkv.row(row_base + t);
       if (spec.use_rope) {
-        const std::size_t pos = cache.filled(sid);  // this token's position
-        const float* inv_freq = rope_inv_freq_cache(dh).data();
+        rope_angles(dh, start + t, rope_inv_freq_cache(dh).data(),
+                    rope_cs.data());
         for (std::size_t head = 0; head < heads; ++head) {
-          apply_rope(qkv_row + head * dh, dh, pos, inv_freq);      // q
-          apply_rope(qkv_row + h + head * dh, dh, pos, inv_freq);  // k
+          rotate_pairs(qkv_row + head * dh, dh, rope_cs.data());      // q
+          rotate_pairs(qkv_row + h + head * dh, dh, rope_cs.data());  // k
         }
       }
       cache.append(sid, qkv_row + h, qkv_row + 2 * h);
     }
-    const std::size_t ctx_len = cache.filled(sid);
-    k_rows.resize(ctx_len);
-    v_rows.resize(ctx_len);
-    for (std::size_t p = 0; p < ctx_len; ++p) {
-      k_rows[p] = cache.k_at(sid, p);
-      v_rows[p] = cache.v_at(sid, p);
-    }
-    for (std::size_t t = 0; t < sp.len; ++t) {
-      const std::size_t row = row_base + t;
-      const float* q = qkv.row(row);
-      // Causal span: this token may attend to cache positions
-      // [0, ctx_len - sp.len + t].
-      const std::size_t span = ctx_len - sp.len + t + 1;
-      scores.resize(span);
-      float* ctx_out = attn_ctx.row(row);
-      for (std::size_t head = 0; head < heads; ++head) {
-        const std::size_t off = head * dh;
-        for (std::size_t p = 0; p < span; ++p) {
-          const float* k = k_rows[p] + off;
-          float dot = 0.0f;
-          for (std::size_t d = 0; d < dh; ++d) dot += q[off + d] * k[d];
-          scores[p] = dot * inv_sqrt_dh;
-        }
-        softmax(std::span<float>(scores.data(), span));
-        for (std::size_t p = 0; p < span; ++p) {
-          const float* v = v_rows[p] + off;
-          const float sp_w = scores[p];
-          for (std::size_t d = 0; d < dh; ++d) ctx_out[off + d] += sp_w * v[d];
-        }
-      }
-    }
-    row_base += sp.len;
+    ctx_lens[s] = start + spans[s].len;
+    total_ctx += ctx_lens[s];
+    row_base += spans[s].len;
   }
+  std::vector<const float*> k_rows(total_ctx), v_rows(total_ctx);
+  std::vector<AttentionRow> attn_rows(rows);
+  std::size_t ctx_base = 0;
+  row_base = 0;
+  for (std::size_t s = 0; s < spans.size(); ++s) {
+    const std::size_t ctx_len = ctx_lens[s], len = spans[s].len;
+    cache.gather(spans[s].seq,
+                 std::span<const float*>(k_rows).subspan(ctx_base, ctx_len),
+                 std::span<const float*>(v_rows).subspan(ctx_base, ctx_len));
+    for (std::size_t t = 0; t < len; ++t) {
+      // Causal span: token t attends to positions [0, ctx_len - len + t].
+      AttentionRow& r = attn_rows[row_base + t];
+      r.q = qkv.row(row_base + t);
+      r.k_rows = k_rows.data() + ctx_base;
+      r.v_rows = v_rows.data() + ctx_base;
+      r.span = ctx_len - len + t + 1;
+      r.out = attn_ctx.row(row_base + t);
+    }
+    ctx_base += ctx_len;
+    row_base += len;
+  }
+  attend_rows(attn_rows, heads, dh);
 
   if (metrics != nullptr) metrics->add_attn_ns(sw.elapsed_ns());
   attn_span.reset();

@@ -41,6 +41,14 @@ class ActivationObserver {
 /// A non-null `metrics` receives the layer's qgemm/attention time split
 /// (the per-stage instrumentation behind PipelineEngine::stats()); a null
 /// pointer costs nothing.
+///
+/// Attention runs in two phases: a serial one (RoPE, K/V append, one
+/// gather of each sequence's K/V row pointers) and attend_rows
+/// (runtime/attention.hpp), whose rows x heads tasks fan out over
+/// ThreadPool::shared() above kAttentionParallelMacs. Each (row, head)'s
+/// bits depend only on its query, its cached K/V rows and the SIMD level,
+/// so a prefill row equals the decode step at its position — at any batch,
+/// thread count or cache backend.
 void decoder_layer_forward(const ModelSpec& spec, const LayerWeights& w,
                            Tensor2D& x, KvCache& cache,
                            std::size_t batch_start, std::size_t seqs,

@@ -10,8 +10,10 @@ int LpProblem::add_var(double lower, double upper, double objective,
   lower_.push_back(lower);
   upper_.push_back(upper);
   objective_.push_back(objective);
-  names_.push_back(name.empty() ? "x" + std::to_string(lower_.size() - 1)
-                                : std::move(name));
+  // Built by append: GCC 12's -Wrestrict misfires on "x" + std::string.
+  names_.push_back(name.empty()
+                       ? std::string("x").append(std::to_string(num_vars() - 1))
+                       : std::move(name));
   return num_vars() - 1;
 }
 

@@ -52,8 +52,9 @@ TEST(AssignerParallel, HeuristicPlanIdenticalToSerial) {
     const AssignerResult serial = run_assign(cluster, opt, /*threads=*/1);
     EXPECT_EQ(serial.stats.search_threads, 1);
     const AssignerResult parallel = run_assign(cluster, opt, /*threads=*/0);
-    if (ThreadPool::shared().size() > 1)
+    if (ThreadPool::shared().size() > 1) {
       EXPECT_GT(parallel.stats.search_threads, 1);
+    }
     expect_identical(serial, parallel);
   }
 }

@@ -26,7 +26,9 @@ TEST(Uniform, PicksHighestBitsThatFit) {
     CostProvider cost(model_registry_get(model_name), cluster,
                       CostMode::kProfiled);
     const auto bits = uniform_bits_that_fit(cost);
-    if (bits.has_value()) EXPECT_LE(*bits, 4);
+    if (bits.has_value()) {
+      EXPECT_LE(*bits, 4);
+    }
   }
 }
 
@@ -63,7 +65,9 @@ TEST(PipeEdge, BalancesPrefillAcrossHeterogeneousDevices) {
       v100_pos = p;
   ASSERT_GE(v100_pos, 0);
   for (int p = 0; p < plan.num_stages(); ++p)
-    if (p != v100_pos) EXPECT_GE(plan.stage_size(v100_pos), plan.stage_size(p));
+    if (p != v100_pos) {
+      EXPECT_GE(plan.stage_size(v100_pos), plan.stage_size(p));
+    }
 }
 
 TEST(PipeEdge, BeatsUniformOnHeteroCluster) {
@@ -76,9 +80,10 @@ TEST(PipeEdge, BeatsUniformOnHeteroCluster) {
   try {
     const ExecutionPlan uni = uniform_plan(cost);
     const SimResult uni_sim = simulate_plan(m, cluster, uni);
-    if (uni_sim.ok)
+    if (uni_sim.ok) {
       EXPECT_GT(pe_sim.throughput_tokens_per_s,
                 uni_sim.throughput_tokens_per_s);
+    }
   } catch (const InfeasibleError&) {
     SUCCEED();  // Uniform OOMs on cluster 4, matching the paper's dagger.
   }

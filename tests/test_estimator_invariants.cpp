@@ -136,9 +136,10 @@ TEST_F(EstimatorInvariants, IncrementalScoresMatchFullEstimate) {
       const auto s = eval.score_bit_change(layer, bits);
       EXPECT_EQ(s.feasible, full.mem_feasible)
           << "layer " << layer << " -> " << bits << " bits";
-      if (full.mem_feasible)
+      if (full.mem_feasible) {
         EXPECT_NEAR(s.objective, full.objective, 1e-9 * full.objective)
             << "layer " << layer << " -> " << bits << " bits";
+      }
     }
   }
 
@@ -157,9 +158,10 @@ TEST_F(EstimatorInvariants, IncrementalScoresMatchFullEstimate) {
         const PlanEstimate full = estimate_plan(*cost_, cand, &ind, theta);
         EXPECT_EQ(s->feasible, full.mem_feasible)
             << "boundary " << p << " delta " << delta;
-        if (full.mem_feasible)
+        if (full.mem_feasible) {
           EXPECT_NEAR(s->objective, full.objective, 1e-9 * full.objective)
               << "boundary " << p << " delta " << delta;
+        }
       }
     }
   }

@@ -54,10 +54,11 @@ TEST_P(PaperClusterSweep, PlanIsValidFeasibleAndCompetitive) {
   try {
     const ExecutionPlan uni = uniform_plan(cost);
     const SimResult uni_sim = simulate_plan(model, pc.cluster, uni);
-    if (uni_sim.ok)
+    if (uni_sim.ok) {
       EXPECT_GE(sim.throughput_tokens_per_s,
                 0.95 * uni_sim.throughput_tokens_per_s)
           << "cluster " << cluster_index;
+    }
   } catch (const InfeasibleError&) {
     // Uniform OOM (e.g. cluster 8): nothing to compare against.
   }

@@ -261,7 +261,9 @@ TEST(Mckp, NeverExceedsCapacity) {
     }
     const std::int64_t cap = rng.uniform_int(20, 200);
     const MckpResult r = solve_mckp(items, cap, 128);
-    if (r.feasible) EXPECT_LE(r.total_weight, cap);
+    if (r.feasible) {
+      EXPECT_LE(r.total_weight, cap);
+    }
   }
 }
 

@@ -84,6 +84,29 @@ TEST(KvCacheManager, ValidatesSequenceAndPosition) {
   EXPECT_THROW(m.free_seq(1), InvalidArgumentError);
 }
 
+TEST(KvCacheManager, GatherMatchesPerPositionReads) {
+  KvCacheManager m(/*hidden=*/4, paged(/*page_size=*/3, /*max_pages=*/0));
+  m.begin_seq(1);
+  m.begin_seq(2);
+  m.reserve(1, 7);
+  m.reserve(2, 7);
+  // Interleaved appends: the two sequences' pages alternate in the pool.
+  for (int t = 0; t < 7; ++t) {
+    const auto k = vec_of(4, 10.0f * static_cast<float>(t));
+    m.append(1, k.data(), k.data());
+    m.append(2, k.data(), k.data());
+  }
+  std::vector<const float*> k_rows(7), v_rows(7);
+  m.gather(2, k_rows, v_rows);
+  for (std::size_t p = 0; p < 7; ++p) {
+    EXPECT_EQ(k_rows[p], m.k_at(2, p)) << p;
+    EXPECT_EQ(v_rows[p], m.v_at(2, p)) << p;
+  }
+  std::vector<const float*> short_rows(6);
+  EXPECT_THROW(m.gather(2, short_rows, v_rows), InvalidArgumentError);
+  EXPECT_THROW(m.gather(3, k_rows, v_rows), InvalidArgumentError);
+}
+
 TEST(KvCacheManager, FreedPagesAreReusedNotReallocated) {
   KvCacheManager m(/*hidden=*/8, paged(16, 0));
   m.begin_seq(1);
@@ -225,6 +248,20 @@ TEST(KvCache, ReadsValidateSequenceAndFilledPosition) {
   EXPECT_THROW(c.k_at(1, 0), InvalidArgumentError);  // nothing filled
   EXPECT_THROW(c.k_at(2, 0), InvalidArgumentError);  // sequence OOR
   EXPECT_THROW(c.v_at(2, 0), InvalidArgumentError);
+}
+
+TEST(KvCache, GatherMatchesPerPositionReads) {
+  KvCache c(/*batch=*/2, /*max_seq=*/4, /*hidden=*/2);
+  const auto k = vec_of(2, 1.0f), v = vec_of(2, 2.0f);
+  for (int t = 0; t < 3; ++t) c.append(1, k.data(), v.data());
+  std::vector<const float*> k_rows(3), v_rows(3);
+  c.gather(1, k_rows, v_rows);
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_EQ(k_rows[p], c.k_at(1, p)) << p;
+    EXPECT_EQ(v_rows[p], c.v_at(1, p)) << p;
+  }
+  EXPECT_THROW(c.gather(0, k_rows, v_rows), InvalidArgumentError);  // 0 filled
+  EXPECT_THROW(c.gather(2, k_rows, v_rows), InvalidArgumentError);  // OOR
 }
 
 // ---------------------------------------------------------------------------

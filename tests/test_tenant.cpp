@@ -304,7 +304,9 @@ TEST(TenantAccounting, ResumeWaitCreditsExactParkedInterval) {
             r1->finish_s - r1->arrival_s);
   // The survivor never parked.
   for (const RequestStats& r : s.finished())
-    if (r.id == 0) EXPECT_DOUBLE_EQ(r.resume_wait_s, 0.0);
+    if (r.id == 0) {
+      EXPECT_DOUBLE_EQ(r.resume_wait_s, 0.0);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -512,7 +514,9 @@ TEST(TenantWorkload, DeterministicShareWeightedAndClassStamped) {
     EXPECT_EQ(w1[i].prompt_len, w2[i].prompt_len);
     EXPECT_EQ(w1[i].gen_tokens, w2[i].gen_tokens);
     EXPECT_EQ(w1[i].tenant_id, w2[i].tenant_id);
-    if (i > 0) EXPECT_GE(w1[i].arrival_s, w1[i - 1].arrival_s);
+    if (i > 0) {
+      EXPECT_GE(w1[i].arrival_s, w1[i - 1].arrival_s);
+    }
     // Every request belongs to a spec'd tenant and carries its class.
     if (w1[i].tenant_id == 1) {
       ++n1;

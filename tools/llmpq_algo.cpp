@@ -1,12 +1,12 @@
 // llmpq-algo — the paper's plan-generation entry point (Sec. 5, "API and
 // Commands"):
-//
-//   llmpq-algo --model-name opt --model_size 30b \
-//       --device_names T4-16G,V100-32G --device_numbers 3,1 \
-//       --global_bz 32 --s 512 --n 100 --theta 1 \
-//       [--group 2] [--shaq-efficient] [--fit | --use_profiler_prediction] \
-//       [--omega_file FILE] [--strat_file_name OUT]
-//
+/*
+   llmpq-algo --model-name opt --model_size 30b \
+       --device_names T4-16G,V100-32G --device_numbers 3,1 \
+       --global_bz 32 --s 512 --n 100 --theta 1 \
+       [--group 2] [--shaq-efficient] [--fit | --use_profiler_prediction] \
+       [--omega_file FILE] [--strat_file_name OUT]
+*/
 // Decides quantization bitwidths, layer partition and micro-batch sizes
 // for the given model/cluster/workload, prints the plan summary and
 // planner estimate, and writes the strategy file `llmpq-dist` consumes.

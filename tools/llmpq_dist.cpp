@@ -1,9 +1,9 @@
 // llmpq-dist — the paper's strategy launcher (Sec. 5):
-//
-//   llmpq-dist --strat_file_name plan.strat \
-//       --device_names T4-16G,V100-32G --device_numbers 3,1 \
-//       [--jitter 0.02] [--csv]
-//
+/*
+   llmpq-dist --strat_file_name plan.strat \
+       --device_names T4-16G,V100-32G --device_numbers 3,1 \
+       [--jitter 0.02] [--csv]
+*/
 // Loads a strategy file produced by llmpq-algo, derives the pipeline
 // configuration ("ranks are derived automatically and registered to the
 // distributed runtime"), executes the plan on the simulated cluster and
