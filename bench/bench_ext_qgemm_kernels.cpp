@@ -181,8 +181,8 @@ std::vector<Ratio> bench_decode(const std::vector<SimdLevel>& levels,
   return ratios;
 }
 
-// The attention table: every level, one decode row over 8 heads; returns
-// the gated scalar/level time ratios.
+// The attention table: every level with its own kernel, one decode row
+// over 8 heads; returns the gated scalar/level time ratios.
 std::vector<Ratio> bench_attention(const std::vector<SimdLevel>& levels,
                                    double min_ms,
                                    std::vector<AttnCell>& cells) {
@@ -204,8 +204,13 @@ std::vector<Ratio> bench_attention(const std::vector<SimdLevel>& levels,
     std::vector<float> out(h), scores(max_span);
     for (const std::size_t span : {std::size_t{64}, max_span}) {
       double scalar_ms = 0.0;
+      AttentionHeadFn prev = nullptr;
       for (const SimdLevel level : levels) {
+        // A level that runs the previous level's kernel (AVX-512 runs the
+        // AVX2 one) has nothing of its own to time.
         const AttentionHeadFn fn = attention_head_kernel(level);
+        if (fn == prev) continue;
+        prev = fn;
         const double ms = time_call_ms(
             [&] {
               for (std::size_t head = 0; head < heads; ++head)

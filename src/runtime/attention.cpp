@@ -8,6 +8,14 @@
 
 namespace llmpq {
 
+#if defined(LLMPQ_HAVE_AVX2)
+// Defined in attention_avx2.cpp, the TU built with the AVX2 flags.
+void attention_head_avx2(const float* q, const float* const* k_rows,
+                         const float* const* v_rows, std::size_t off,
+                         std::size_t span, std::size_t dh, float* scores,
+                         float* out);
+#endif
+
 namespace {
 
 /// This thread's score scratch, grown to `span` on demand: no heap
@@ -22,10 +30,6 @@ SimdLevel clamp_to_available(SimdLevel level) {
   while (level != SimdLevel::kScalar && !simd_level_available(level))
     level = static_cast<SimdLevel>(static_cast<int>(level) - 1);
   return level;
-}
-
-void exp_scalar(const float* x, std::size_t n, float* y) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = std::exp(x[i]);
 }
 
 }  // namespace
@@ -52,31 +56,15 @@ void attention_head_scalar(const float* q, const float* const* k_rows,
 
 AttentionHeadFn attention_head_kernel(SimdLevel level) {
   switch (clamp_to_available(level)) {
-#if defined(LLMPQ_HAVE_AVX512)
-    case SimdLevel::kAvx512:
-      return &attention_head_avx512;
-#endif
 #if defined(LLMPQ_HAVE_AVX2)
+    // The AVX-512 level runs the AVX2 kernel: a 512-bit one measured no
+    // faster (DESIGN.md "Attention kernel").
+    case SimdLevel::kAvx512:
     case SimdLevel::kAvx2:
       return &attention_head_avx2;
 #endif
     default:
       return &attention_head_scalar;
-  }
-}
-
-AttentionExpFn attention_exp_kernel(SimdLevel level) {
-  switch (clamp_to_available(level)) {
-#if defined(LLMPQ_HAVE_AVX512)
-    case SimdLevel::kAvx512:
-      return &attention_exp_avx512;
-#endif
-#if defined(LLMPQ_HAVE_AVX2)
-    case SimdLevel::kAvx2:
-      return &attention_exp_avx2;
-#endif
-    default:
-      return &exp_scalar;
   }
 }
 

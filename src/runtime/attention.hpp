@@ -23,22 +23,23 @@ namespace llmpq {
 /// preempt-then-re-prefill and reference_generate bit-exact.
 ///
 /// The scalar level is the bit-defining reference (a serial dot per key,
-/// the library softmax, a serial value accumulation). The AVX2 and
-/// AVX-512 levels use an FMA dot over dh, a vector exp polynomial and an
-/// FMA value accumulation, with masked tails for any dh; they differ from
-/// scalar only by reassociation and by the exp polynomial's rounding
-/// (kAttentionExpMaxRelError), tested within kAttentionTolerance.
+/// the library softmax, a serial value accumulation). The AVX2 kernel,
+/// which also serves the AVX-512 level, uses an FMA dot over dh, a vector
+/// exp polynomial and an FMA value accumulation, with masked tails for any
+/// dh; it differs from scalar only by reassociation and by the exp
+/// polynomial's rounding (kAttentionExpMaxRelError), tested within
+/// kAttentionTolerance.
 using AttentionHeadFn = void (*)(const float* q, const float* const* k_rows,
                                  const float* const* v_rows, std::size_t off,
                                  std::size_t span, std::size_t dh,
                                  float* scores, float* out);
 
-/// Relative error bound of the vector levels' exp against std::exp over
+/// Relative error bound of the vector kernel's exp against std::exp over
 /// [-87.33, 0] (the softmax's domain after the max is subtracted; below it
 /// the vector exp returns 0, an absolute error under 1.2e-38).
 inline constexpr float kAttentionExpMaxRelError = 2.5e-7f;
 
-/// Documented agreement of a vector level with scalar: for every output
+/// Documented agreement of the vector kernel with scalar: for every output
 /// element, |out_vec - out_scalar| <= kAttentionTolerance * max_p |V_p[d]|
 /// for unit-scale q and K (tests sweep dh and span).
 inline constexpr float kAttentionTolerance = 1e-5f;
@@ -46,31 +47,11 @@ inline constexpr float kAttentionTolerance = 1e-5f;
 /// Kernel entry point for `level` (clamped to available).
 AttentionHeadFn attention_head_kernel(SimdLevel level);
 
-/// y[i] = exp(x[i]) through `level`'s softmax exp (std::exp at scalar),
-/// so tests can hold the vector polynomial to kAttentionExpMaxRelError.
-using AttentionExpFn = void (*)(const float* x, std::size_t n, float* y);
-AttentionExpFn attention_exp_kernel(SimdLevel level);
-
 /// The reference kernel (always present).
 void attention_head_scalar(const float* q, const float* const* k_rows,
                            const float* const* v_rows, std::size_t off,
                            std::size_t span, std::size_t dh, float* scores,
                            float* out);
-
-#if defined(LLMPQ_HAVE_AVX2)
-void attention_head_avx2(const float* q, const float* const* k_rows,
-                         const float* const* v_rows, std::size_t off,
-                         std::size_t span, std::size_t dh, float* scores,
-                         float* out);
-void attention_exp_avx2(const float* x, std::size_t n, float* y);
-#endif
-#if defined(LLMPQ_HAVE_AVX512)
-void attention_head_avx512(const float* q, const float* const* k_rows,
-                           const float* const* v_rows, std::size_t off,
-                           std::size_t span, std::size_t dh, float* scores,
-                           float* out);
-void attention_exp_avx512(const float* x, std::size_t n, float* y);
-#endif
 
 /// One query row of an attention call: `q` and `out` are hidden-sized rows
 /// (heads * dh floats), `k_rows`/`v_rows` the row pointers of the
