@@ -20,49 +20,36 @@
 namespace llmpq {
 namespace {
 
-using Vec = __m256;
-using Mask = __m256i;
 constexpr std::size_t kW = 8;
 constexpr int kMaxBlock = 4;
 
-inline Vec vset1(float v) { return _mm256_set1_ps(v); }
-inline Vec vload(const float* p) { return _mm256_loadu_ps(p); }
-inline void vstore(float* p, Vec v) { _mm256_storeu_ps(p, v); }
-inline Vec vadd(Vec a, Vec b) { return _mm256_add_ps(a, b); }
-inline Vec vsub(Vec a, Vec b) { return _mm256_sub_ps(a, b); }
-inline Vec vmul(Vec a, Vec b) { return _mm256_mul_ps(a, b); }
-inline Vec vmax(Vec a, Vec b) { return _mm256_max_ps(a, b); }
-inline Vec vmin(Vec a, Vec b) { return _mm256_min_ps(a, b); }
-inline Vec vfmadd(Vec a, Vec b, Vec c) { return _mm256_fmadd_ps(a, b, c); }
-inline Vec vfnmadd(Vec a, Vec b, Vec c) { return _mm256_fnmadd_ps(a, b, c); }
-
-inline Mask tail_mask(std::size_t n) {
+inline __m256i tail_mask(std::size_t n) {
   return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
                             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
-inline Vec vload_tail(const float* p, Mask m) {
+inline __m256 vload_tail(const float* p, __m256i m) {
   return _mm256_maskload_ps(p, m);
 }
-inline Vec vload_tail_or(const float* p, Mask m, Vec fill) {
+inline __m256 vload_tail_or(const float* p, __m256i m, __m256 fill) {
   return _mm256_blendv_ps(fill, _mm256_maskload_ps(p, m),
                           _mm256_castsi256_ps(m));
 }
-inline void vstore_tail(float* p, Vec v, Mask m) {
+inline void vstore_tail(float* p, __m256 v, __m256i m) {
   _mm256_maskstore_ps(p, m, v);
 }
-inline Vec vkeep(Vec v, Mask m) {
+inline __m256 vkeep(__m256 v, __m256i m) {
   return _mm256_and_ps(v, _mm256_castsi256_ps(m));
 }
 
-inline Vec scale_pow2(Vec y, Vec n) {
+inline __m256 scale_pow2(__m256 y, __m256 n) {
   const __m256i bits = _mm256_slli_epi32(
       _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
   return _mm256_mul_ps(y, _mm256_castsi256_ps(bits));
 }
-inline Vec round_nearest(Vec v) {
+inline __m256 round_nearest(__m256 v) {
   return _mm256_round_ps(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
 }
-inline Vec keep_if_ge(Vec v, Vec a, Vec b) {
+inline __m256 keep_if_ge(__m256 v, __m256 a, __m256 b) {
   return _mm256_and_ps(v, _mm256_cmp_ps(a, b, _CMP_GE_OQ));
 }
 
@@ -86,29 +73,23 @@ inline float hmax256(__m256 v) {
 /// to n, reduce r = x - n*ln2 in two FMA steps, a degree-5 polynomial for
 /// e^r on [-ln2/2, ln2/2], then scale by 2^n. Below ln(FLT_MIN) the result
 /// is 0 (std::exp returns a denormal there, under 1.2e-38).
-inline Vec exp_vec(Vec x) {
-  const Vec lo = vset1(-87.33654f);  // ln(FLT_MIN)
-  const Vec xc = vmin(vmax(x, lo), vset1(88.0f));
-  const Vec n = round_nearest(vmul(xc, vset1(1.44269504088896341f)));
-  Vec r = vfnmadd(n, vset1(0.693359375f), xc);
-  r = vfnmadd(n, vset1(-2.12194440e-4f), r);
-  Vec y = vset1(1.9875691500e-4f);
-  y = vfmadd(y, r, vset1(1.3981999507e-3f));
-  y = vfmadd(y, r, vset1(8.3334519073e-3f));
-  y = vfmadd(y, r, vset1(4.1665795894e-2f));
-  y = vfmadd(y, r, vset1(1.6666665459e-1f));
-  y = vfmadd(y, r, vset1(5.0000001201e-1f));
-  y = vfmadd(y, vmul(r, r), vadd(r, vset1(1.0f)));
+inline __m256 exp_vec(__m256 x) {
+  const __m256 lo = _mm256_set1_ps(-87.33654f);  // ln(FLT_MIN)
+  const __m256 xc =
+      _mm256_min_ps(_mm256_max_ps(x, lo), _mm256_set1_ps(88.0f));
+  const __m256 n = round_nearest(
+      _mm256_mul_ps(xc, _mm256_set1_ps(1.44269504088896341f)));
+  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), xc);
+  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
+  __m256 y = _mm256_set1_ps(1.9875691500e-4f);
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(1.3981999507e-3f));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(8.3334519073e-3f));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(4.1665795894e-2f));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(1.6666665459e-1f));
+  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(5.0000001201e-1f));
+  y = _mm256_fmadd_ps(y, _mm256_mul_ps(r, r),
+                      _mm256_add_ps(r, _mm256_set1_ps(1.0f)));
   return keep_if_ge(scale_pow2(y, n), x, lo);
-}
-
-inline void exp_impl(const float* x, std::size_t n, float* y) {
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) vstore(y + i, exp_vec(vload(x + i)));
-  if (i < n) {
-    const Mask m = tail_mask(n - i);
-    vstore_tail(y + i, exp_vec(vload_tail(x + i, m)), m);
-  }
 }
 
 #define LLMPQ_ATTN_UNROLL _Pragma("GCC unroll 16")
@@ -120,7 +101,7 @@ constexpr std::size_t kKeys = 8;
 /// The 8 lane-sums of acc[0..8) as one vector. Each key's sum is a fixed
 /// tree over its own lanes (two hadds, one cross-half add), so it
 /// does not depend on the other keys in the group.
-inline __m256 reduce8(const Vec* acc) {
+inline __m256 reduce8(const __m256* acc) {
   const __m256 h01 = _mm256_hadd_ps(acc[0], acc[1]);
   const __m256 h23 = _mm256_hadd_ps(acc[2], acc[3]);
   const __m256 h45 = _mm256_hadd_ps(acc[4], acc[5]);
@@ -141,32 +122,29 @@ inline void score_group(const float* q, const float* const* k_rows,
   LLMPQ_ATTN_UNROLL
   for (std::size_t j = 0; j < kKeys; ++j)
     k[j] = k_rows[std::min(p0 + j, span - 1)] + off;
-  Vec acc[kKeys];
+  __m256 acc[kKeys];
   LLMPQ_ATTN_UNROLL
-  for (std::size_t j = 0; j < kKeys; ++j) acc[j] = vset1(0.0f);
+  for (std::size_t j = 0; j < kKeys; ++j) acc[j] = _mm256_set1_ps(0.0f);
   std::size_t c = 0;
   for (; c + kW <= dh; c += kW) {
-    const Vec qv = vload(q + c);
+    const __m256 qv = _mm256_loadu_ps(q + c);
     LLMPQ_ATTN_UNROLL
     for (std::size_t j = 0; j < kKeys; ++j)
-      acc[j] = vfmadd(qv, vload(k[j] + c), acc[j]);
+      acc[j] = _mm256_fmadd_ps(qv, _mm256_loadu_ps(k[j] + c), acc[j]);
   }
   if (c < dh) {
-    const Mask m = tail_mask(dh - c);
-    const Vec qv = vload_tail(q + c, m);
+    const __m256i m = tail_mask(dh - c);
+    const __m256 qv = vload_tail(q + c, m);
     LLMPQ_ATTN_UNROLL
     for (std::size_t j = 0; j < kKeys; ++j)
-      acc[j] = vfmadd(qv, vload_tail(k[j] + c, m), acc[j]);
+      acc[j] = _mm256_fmadd_ps(qv, vload_tail(k[j] + c, m), acc[j]);
   }
   const __m256 s = _mm256_mul_ps(reduce8(acc), _mm256_set1_ps(scale));
   const std::size_t valid = std::min(kKeys, span - p0);
   if (valid == kKeys) {
     _mm256_storeu_ps(scores + p0, s);
   } else {
-    const __m256i m =
-        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(valid)),
-                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    _mm256_maskstore_ps(scores + p0, m, s);
+    _mm256_maskstore_ps(scores + p0, tail_mask(valid), s);
   }
 }
 
@@ -175,51 +153,55 @@ inline void score_group(const float* q, const float* const* k_rows,
 /// reciprocal, as the scalar softmax does.
 inline void softmax_vec(float* s, std::size_t span) {
   const std::size_t full = span - span % kW;
-  const Mask m = tail_mask(span % kW);
+  const __m256i m = tail_mask(span % kW);
   const bool tail = full < span;
-  const Vec neg_inf = vset1(-std::numeric_limits<float>::infinity());
-  Vec mv = neg_inf;
-  for (std::size_t p = 0; p < full; p += kW) mv = vmax(mv, vload(s + p));
-  if (tail) mv = vmax(mv, vload_tail_or(s + full, m, neg_inf));
-  const Vec mx = vset1(hmax256(mv));
-  Vec sv = vset1(0.0f);
+  const __m256 neg_inf =
+      _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  __m256 mv = neg_inf;
+  for (std::size_t p = 0; p < full; p += kW)
+    mv = _mm256_max_ps(mv, _mm256_loadu_ps(s + p));
+  if (tail) mv = _mm256_max_ps(mv, vload_tail_or(s + full, m, neg_inf));
+  const __m256 mx = _mm256_set1_ps(hmax256(mv));
+  __m256 sv = _mm256_set1_ps(0.0f);
   for (std::size_t p = 0; p < full; p += kW) {
-    const Vec e = exp_vec(vsub(vload(s + p), mx));
-    vstore(s + p, e);
-    sv = vadd(sv, e);
+    const __m256 e = exp_vec(_mm256_sub_ps(_mm256_loadu_ps(s + p), mx));
+    _mm256_storeu_ps(s + p, e);
+    sv = _mm256_add_ps(sv, e);
   }
   if (tail) {
-    const Vec e = vkeep(exp_vec(vsub(vload_tail(s + full, m), mx)), m);
+    const __m256 e =
+        vkeep(exp_vec(_mm256_sub_ps(vload_tail(s + full, m), mx)), m);
     vstore_tail(s + full, e, m);
-    sv = vadd(sv, e);
+    sv = _mm256_add_ps(sv, e);
   }
-  const Vec inv = vset1(1.0f / hsum256(sv));
+  const __m256 inv = _mm256_set1_ps(1.0f / hsum256(sv));
   for (std::size_t p = 0; p < full; p += kW)
-    vstore(s + p, vmul(vload(s + p), inv));
-  if (tail) vstore_tail(s + full, vmul(vload_tail(s + full, m), inv), m);
+    _mm256_storeu_ps(s + p, _mm256_mul_ps(_mm256_loadu_ps(s + p), inv));
+  if (tail)
+    vstore_tail(s + full, _mm256_mul_ps(vload_tail(s + full, m), inv), m);
 }
 
 /// out[c, c + NV*kW (+ tail)) = sum_p w[p] * V_p[c...], the p order
 /// ascending, NV full vectors plus an optional masked one in registers.
 template <int NV, bool kTail>
 inline void accumulate_block(const float* const* v_rows, std::size_t off,
-                             std::size_t span, const float* w, Mask m,
+                             std::size_t span, const float* w, __m256i m,
                              float* out) {
   constexpr int kN = NV + (kTail ? 1 : 0);
-  Vec acc[kN];
+  __m256 acc[kN];
   LLMPQ_ATTN_UNROLL
-  for (int j = 0; j < kN; ++j) acc[j] = vset1(0.0f);
+  for (int j = 0; j < kN; ++j) acc[j] = _mm256_set1_ps(0.0f);
   for (std::size_t p = 0; p < span; ++p) {
     const float* v = v_rows[p] + off;
-    const Vec wp = vset1(w[p]);
+    const __m256 wp = _mm256_set1_ps(w[p]);
     LLMPQ_ATTN_UNROLL
     for (int j = 0; j < NV; ++j)
-      acc[j] = vfmadd(wp, vload(v + j * kW), acc[j]);
+      acc[j] = _mm256_fmadd_ps(wp, _mm256_loadu_ps(v + j * kW), acc[j]);
     if constexpr (kTail)
-      acc[NV] = vfmadd(wp, vload_tail(v + NV * kW, m), acc[NV]);
+      acc[NV] = _mm256_fmadd_ps(wp, vload_tail(v + NV * kW, m), acc[NV]);
   }
   LLMPQ_ATTN_UNROLL
-  for (int j = 0; j < NV; ++j) vstore(out + j * kW, acc[j]);
+  for (int j = 0; j < NV; ++j) _mm256_storeu_ps(out + j * kW, acc[j]);
   if constexpr (kTail) vstore_tail(out + NV * kW, acc[NV], m);
 }
 
@@ -228,7 +210,7 @@ inline void accumulate_block(const float* const* v_rows, std::size_t off,
 template <int NV>
 inline void accumulate_rest(std::size_t nv, bool tail,
                             const float* const* v_rows, std::size_t off,
-                            std::size_t span, const float* w, Mask m,
+                            std::size_t span, const float* w, __m256i m,
                             float* out) {
   if constexpr (NV == 0) {
     if (tail) accumulate_block<0, true>(v_rows, off, span, w, m, out);
@@ -242,10 +224,12 @@ inline void accumulate_rest(std::size_t nv, bool tail,
   }
 }
 
-inline void attention_head_impl(const float* q, const float* const* k_rows,
-                                const float* const* v_rows, std::size_t off,
-                                std::size_t span, std::size_t dh,
-                                float* scores, float* out) {
+}  // namespace
+
+void attention_head_avx2(const float* q, const float* const* k_rows,
+                         const float* const* v_rows, std::size_t off,
+                         std::size_t span, std::size_t dh, float* scores,
+                         float* out) {
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   for (std::size_t p0 = 0; p0 < span; p0 += kKeys)
     score_group(q, k_rows, off, p0, span, dh, scale, scores);
@@ -253,8 +237,8 @@ inline void attention_head_impl(const float* q, const float* const* k_rows,
   constexpr std::size_t kBlock = kMaxBlock * kW;
   std::size_t c = 0;
   for (; c + kBlock <= dh; c += kBlock)
-    accumulate_block<kMaxBlock, false>(v_rows, off + c, span, scores, Mask{},
-                                       out + c);
+    accumulate_block<kMaxBlock, false>(v_rows, off + c, span, scores,
+                                       __m256i{}, out + c);
   if (c < dh) {
     const std::size_t rest = dh - c;
     accumulate_rest<kMaxBlock - 1>(rest / kW, rest % kW != 0, v_rows,
@@ -263,19 +247,17 @@ inline void attention_head_impl(const float* q, const float* const* k_rows,
   }
 }
 
-}  // namespace
-
-void attention_head_avx2(const float* q, const float* const* k_rows,
-                         const float* const* v_rows, std::size_t off,
-                         std::size_t span, std::size_t dh, float* scores,
-                         float* out) {
-  attention_head_impl(q, k_rows, v_rows, off, span, dh, scores, out);
-}
-
-// Declared only in the attention test, which holds the polynomial to
-// kAttentionExpMaxRelError; not part of attention.hpp.
+// The softmax's exp over x[0, n). Declared only in the attention test,
+// which holds the polynomial to kAttentionExpMaxRelError; not part of
+// attention.hpp.
 void attention_exp_avx2(const float* x, std::size_t n, float* y) {
-  exp_impl(x, n, y);
+  std::size_t i = 0;
+  for (; i + kW <= n; i += kW)
+    _mm256_storeu_ps(y + i, exp_vec(_mm256_loadu_ps(x + i)));
+  if (i < n) {
+    const __m256i m = tail_mask(n - i);
+    vstore_tail(y + i, exp_vec(vload_tail(x + i, m)), m);
+  }
 }
 
 }  // namespace llmpq
